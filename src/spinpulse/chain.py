@@ -121,13 +121,14 @@ def basis_energy(state: int, cfg: ChainConfig) -> float:
     n = cfg.n_qubits
     if not 0 <= state < (1 << n):
         raise ValueError(f"state {state} does not fit in {n} bits")
+    base, spacing = cfg.base_larmor, cfg.larmor_spacing
     zeeman = 0.0
-    for k in range(n):
-        s = 1 - 2 * ((state >> k) & 1)
-        zeeman += cfg.omega(k) * s
-    bonds = 0
-    for k in range(n - 1):
-        bonds += 1 if ((state >> k) & 1) == ((state >> (k + 1)) & 1) else -1
+    for k, bit in enumerate(reversed(format(state, f"0{n}b"))):
+        w = base + k * spacing
+        zeeman += -w if bit == "1" else w
+    # Each unlike neighbour pair is a -1 bond, each like pair a +1 bond.
+    unlike = ((state ^ (state >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
+    bonds = (n - 1) - 2 * unlike
     return -0.5 * zeeman - 0.5 * cfg.coupling * bonds
 
 

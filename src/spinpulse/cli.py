@@ -42,10 +42,16 @@ from .exact_engine import DEFAULT_QUBIT_CAP, run_protocol_exact
 from .exceptions import ConfigError, QubitCapError, SpinPulseError
 from .oscillator import run_protocol_classical
 from .pulses import Protocol
-from .report import RunReport, band_classify, excitation_profiles, phase_report
+from .report import (
+    RunReport, UnwantedRecord, band_classify, excitation_profiles, phase_report,
+    records_csv,
+)
 from .sparse_engine import SparseState, run_protocol
 
 CONFIG_VERSION = 1
+
+# The two-level reduction drops every flip outside the near-resonant window.
+_UNMODELLED = "; far-detuned leakage not modelled (dominant error at 2*pi*k points)"
 
 _SCHEMA = {
     "version": None,
@@ -192,28 +198,29 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text)
 
 
-def _report_outputs(report: RunReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.save(out_dir / "report.json")
-    _write(out_dir, "unwanted.csv", report.unwanted_csv())
-    if report.trace is not None:
-        _write(out_dir, "trace.csv", report.trace_csv())
+def _unwanted_outputs(report: RunReport, out_dir: Path) -> list[UnwantedRecord]:
+    """Write unwanted.csv, and bands.json when there are records; return them."""
     records = report.unwanted_records()
+    _write(out_dir, "unwanted.csv", records_csv(records))
     if records:
         summary = band_classify(records)
         bands = {
             "split_gap_decades": summary.split_gap,
             "bands": [
-                {
-                    "count": b.count,
-                    "low": b.low,
-                    "high": b.high,
-                    "median": b.median,
-                }
+                {"count": b.count, "low": b.low, "high": b.high, "median": b.median}
                 for b in summary.bands
             ],
         }
         _write(out_dir, "bands.json", json.dumps(bands, indent=2) + "\n")
+    return records
+
+
+def _report_outputs(report: RunReport, out_dir: Path) -> list[UnwantedRecord]:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report.save(out_dir / "report.json")
+    if report.trace is not None:
+        _write(out_dir, "trace.csv", report.trace_csv())
+    return _unwanted_outputs(report, out_dir)
 
 
 def cmd_simulate(args, engine_override: str | None = None) -> int:
@@ -232,12 +239,11 @@ def cmd_simulate(args, engine_override: str | None = None) -> int:
         engine, protocol, cfg, doc,
         doubled=doubled, trace=trace, cutoff_raw=cutoff_raw, seed=seed,
     )
-    out_dir = Path(args.out)
-    _report_outputs(report, out_dir)
-    n_unwanted = len(report.unwanted_records())
+    records = _report_outputs(report, Path(args.out))
     print(
         f"{engine}: {len(protocol)} pulses, {len(report.final_amps)} stored states, "
-        f"{n_unwanted} unwanted, leaked {report.leaked:.3e}"
+        f"{len(records)} unwanted, leaked {report.leaked:.3e}"
+        + (_UNMODELLED if engine == "perturbative" else "")
     )
     return 0
 
@@ -343,18 +349,8 @@ def cmd_compare(args) -> int:
 def cmd_analyze(args) -> int:
     report = RunReport.load(args.report)
     out_dir = Path(args.out)
-    records = report.unwanted_records()
-    _write(out_dir, "unwanted.csv", report.unwanted_csv())
+    records = _unwanted_outputs(report, out_dir)
     if records:
-        summary = band_classify(records)
-        bands = {
-            "split_gap_decades": summary.split_gap,
-            "bands": [
-                {"count": b.count, "low": b.low, "high": b.high, "median": b.median}
-                for b in summary.bands
-            ],
-        }
-        _write(out_dir, "bands.json", json.dumps(bands, indent=2) + "\n")
         profiles = excitation_profiles(records, report.chain)
         rows = ["state,flips,energy_above_ground,energy_class"]
         rows += [

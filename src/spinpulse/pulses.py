@@ -18,7 +18,7 @@ class Pulse:
     ``frequency`` is the drive frequency, ``rabi`` the drive strength, and
     ``duration`` the length; rabi * duration = pi for a pi-pulse and pi/2
     for a pi/2-pulse.  Phase is kept at zero throughout the protocols built
-    here but stored for completeness.
+    here and no engine models it; ``Protocol.from_dict`` rejects a non-zero one.
     """
 
     frequency: float
@@ -97,6 +97,8 @@ class Protocol:
         if unknown:
             raise ConfigError(f"unknown protocol keys: {sorted(unknown)}")
         pulses = tuple(Pulse(**entry) for entry in data["pulses"])
+        if any(p.phase != 0.0 for p in pulses):
+            raise ConfigError("non-zero pulse phase is not modelled by any engine")
         return cls(
             pulses=pulses,
             gate=data.get("gate", ""),

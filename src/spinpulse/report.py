@@ -5,7 +5,8 @@ sparse amplitudes, the probability removed by pruning (or left below the
 reporting cutoff for dense engines), the first-crossing pulse index of every
 state that ever held probability above the cutoff, and enough provenance to
 reproduce the run byte for byte.  Reports serialize to JSON (lossless float
-round trip) and to CSV tables for plotting.
+round trip) and to CSV tables for plotting.  The JSON keeps the first-crossing
+pulse of the final states only, the part of the ledger that anything reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .design import spectator_phase_increment
 from .exceptions import ConfigError
 from .pulses import Protocol
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,11 @@ class RunReport:
             ],
             "leaked": self.leaked,
             "time": self.time,
-            "generation": {str(s): g for s, g in self.generation.items()},
+            "generation": {
+                str(s): self.generation[s]
+                for s in self.final_amps
+                if s in self.generation
+            },
             "doubled": self.doubled,
             "prune_cutoff": self.prune_cutoff,
             "seed": self.seed,
@@ -151,7 +156,8 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        if data.get("version") != REPORT_FORMAT_VERSION:
+        # Version 1 stored the whole first-crossing ledger; it loads as is.
+        if data.get("version") not in (1, REPORT_FORMAT_VERSION):
             raise ConfigError(f"unsupported report version {data.get('version')!r}")
         trace = None
         if data.get("trace") is not None:
@@ -194,14 +200,7 @@ class RunReport:
 
     def unwanted_csv(self) -> str:
         """CSV of unwanted states: bitstring, probability, generation, energy, flips."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["state", "probability", "generation_pulse", "energy", "flips"])
-        for r in self.unwanted_records():
-            writer.writerow(
-                [r.bitstring, repr(r.probability), r.generation, repr(r.energy), r.flips]
-            )
-        return buf.getvalue()
+        return records_csv(self.unwanted_records())
 
     def trace_csv(self) -> str:
         if self.trace is None:
@@ -225,6 +224,18 @@ class RunReport:
                 ]
             )
         return buf.getvalue()
+
+
+def records_csv(records: list[UnwantedRecord]) -> str:
+    """CSV table of unwanted records, one row each in the given order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["state", "probability", "generation_pulse", "energy", "flips"])
+    for r in records:
+        writer.writerow(
+            [r.bitstring, repr(r.probability), r.generation, repr(r.energy), r.flips]
+        )
+    return buf.getvalue()
 
 
 def config_fingerprint(payload: dict) -> str:

@@ -21,6 +21,12 @@ ledger after every pulse and never renormalized away.
 Amplitudes flowing into the same partner add coherently: a pulse couples
 each state to exactly one partner, so the only merge is the in-block one,
 and iterating states in ascending basis order makes runs bit-reproducible.
+
+Not modelled: far-detuned leakage.  Flips outside the near-resonant window
+are dropped, not propagated, and that channel is the dominant gate error at
+the 2*pi*k drive points: there this engine reports an unwanted probability
+near 3e-16 where the exact engine gives 4e-7 to 3e-4.
+``error_model.first_order_error`` recovers it on short chains.
 """
 
 from __future__ import annotations

@@ -27,6 +27,28 @@ class TestBasisEnergy:
         with pytest.raises(ValueError):
             sp.basis_energy(1 << 2, CFG2)
 
+    @given(
+        data=st.data(),
+        n=st.integers(1, 300),
+        spacing=st.one_of(st.integers(1, 200).map(float), st.floats(0.01, 500.0)),
+        base=st.floats(0.0, 5000.0),
+        coupling=st.sampled_from([0.7, 1.0, 2.35]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_two_loop_formula(self, data, n, spacing, base, coupling):
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=spacing, base_larmor=base,
+                             coupling=coupling)
+        state = data.draw(st.integers(0, (1 << n) - 1))
+        zeeman = 0.0
+        for k in range(n):
+            s = 1 - 2 * ((state >> k) & 1)
+            zeeman += cfg.omega(k) * s
+        bonds = 0
+        for k in range(n - 1):
+            bonds += 1 if ((state >> k) & 1) == ((state >> (k + 1)) & 1) else -1
+        reference = -0.5 * zeeman - 0.5 * cfg.coupling * bonds
+        assert sp.basis_energy(state, cfg) == reference
+
 
 class TestTransitionFrequency:
     def test_inner_spin_both_neighbours_flipped(self):

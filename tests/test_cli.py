@@ -145,6 +145,30 @@ class TestSimulate:
         assert report.probability(proto.target_state) == pytest.approx(0.5, abs=1e-6)
 
 
+    def test_protocol_file_with_pulse_phase_is_rejected(self, tmp_path, capsys):
+        chain = sp.ChainConfig(n_qubits=5, larmor_spacing=100.0)
+        doc = sp.build_cn_protocol(chain, rabi=0.3).to_dict()
+        doc["pulses"][1]["phase"] = 0.3
+        (tmp_path / "protocol.json").write_text(json.dumps(doc))
+        cfg_path = write_config(tmp_path, {
+            "version": 1,
+            "chain": {"n_qubits": 5, "larmor_spacing": 100.0},
+            "protocol_file": "protocol.json",
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "phase" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_summary_discloses_unmodelled_leakage(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "far-detuned leakage not modelled" in capsys.readouterr().out
+
+
 class TestSimulateExactAndClassical:
     def test_exact_small_chain(self, tmp_path):
         doc = {
@@ -251,3 +275,17 @@ class TestAnalyze:
         assert (analysis / "profiles.csv").exists()
         phase = json.loads((analysis / "phase.json").read_text())
         assert phase["deviation_radians"] == 0.0
+
+    def test_reproduces_the_simulate_tables(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(n=8, report={
+            "doubled_probabilities": True}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        analysis = tmp_path / "analysis"
+        assert main(["analyze", "--report", str(out / "report.json"),
+                     "--out", str(analysis)]) == 0
+        table = (out / "unwanted.csv").read_text()
+        assert table.count("\n") > 10
+        assert table == sp.RunReport.load(out / "report.json").unwanted_csv()
+        for name in ("unwanted.csv", "bands.json"):
+            assert (analysis / name).read_bytes() == (out / name).read_bytes()

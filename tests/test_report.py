@@ -28,12 +28,60 @@ class TestRunReportSerialization:
         report.save(path)
         loaded = sp.RunReport.load(path)
         assert loaded.final_amps == report.final_amps
-        assert loaded.generation == report.generation
+        assert loaded.generation == {s: report.generation[s] for s in report.final_amps}
         assert loaded.leaked == report.leaked
         assert loaded.time == report.time
         assert loaded.trace == report.trace
         assert loaded.chain == report.chain
         assert loaded.config_hash == report.config_hash
+        assert loaded.unwanted_csv() == report.unwanted_csv()
+
+    def test_saved_ledger_covers_exactly_the_final_states(self, tmp_path):
+        report, _ = small_run()
+        assert len(report.generation) > len(report.final_amps)
+        path = tmp_path / "report.json"
+        report.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        assert list(doc["generation"]) == [str(s) for s, _, _ in doc["final_amps"]]
+        assert set(sp.RunReport.load(path).generation) == set(report.final_amps)
+
+    def test_version_1_document_with_full_ledger_loads(self, tmp_path):
+        # Format 1 stored the first crossing of every state ever above cutoff.
+        v1 = {
+            "version": 1,
+            "engine": "perturbative",
+            "chain": {"n_qubits": 3, "larmor_spacing": 100.0, "base_larmor": 1000.0,
+                      "coupling": 1.0, "cutoff": 1e-6},
+            "final_amps": [["0", 0.7, 0.1], ["5", 0.001, -0.002], ["6", 0.7, 0.0],
+                           ["3", 0.0, 0.003]],
+            "leaked": 1e-7,
+            "time": 12.5,
+            "generation": {"0": 0, "1": 1, "4": 1, "5": 2, "2": 2, "3": 3, "6": 3,
+                           "7": 4},
+            "doubled": True,
+            "prune_cutoff": 5e-7,
+            "seed": 0,
+            "protocol": {"version": 1, "gate": "cn", "pulses": [], "path": ["0", "6"],
+                         "detunings": []},
+            "trace": None,
+            "config_hash": "0123456789abcdef",
+        }
+        old = sp.RunReport.from_dict(v1)
+        assert len(old.generation) == 8
+        path = tmp_path / "report.json"
+        old.save(path)
+        trimmed = sp.RunReport.load(path)
+        assert trimmed.generation == {0: 0, 5: 2, 6: 3, 3: 3}
+        assert trimmed.unwanted_csv() == old.unwanted_csv()
+        assert [r.state for r in trimmed.unwanted_records()] == [5, 3]
+
+    def test_unknown_version_rejected(self):
+        report, _ = small_run()
+        doc = report.to_dict()
+        doc["version"] = 3
+        with pytest.raises(sp.ConfigError):
+            sp.RunReport.from_dict(doc)
 
     @given(
         values=st.lists(
