@@ -55,14 +55,7 @@ from .exceptions import (
     QubitCapError,
     SpinPulseError,
 )
-from .oscillator import (
-    OscillatorState,
-    classical_norm,
-    integrate,
-    run_protocol_classical,
-    to_classical,
-    to_quantum,
-)
+from .oscillator import run_protocol_classical
 from .pulses import Protocol, Pulse
 from .report import (
     BandSummary,

@@ -22,6 +22,7 @@ is resonant, near-resonant (detuning up to 4J), or non-resonant.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .exceptions import AmbiguousTransitionError
@@ -86,20 +87,14 @@ class TransitionClass:
     """Outcome of matching one basis state against one drive frequency.
 
     ``detuning`` is signed: E_upper - E_lower - frequency for the flip of
-    ``spin``, where upper/lower refer to the two states of the pair.
+    ``spin``, where upper/lower refer to the two states of the pair.  A
+    non-resonant result names the nearest transition among the spins within
+    6J of the drive, or spin -1 with detuning -frequency when there are none.
     """
 
     kind: TransitionKind
     spin: int
     detuning: float
-
-    @property
-    def resonant(self) -> bool:
-        return self.kind is TransitionKind.RESONANT
-
-    @property
-    def near_resonant(self) -> bool:
-        return self.kind is TransitionKind.NEAR_RESONANT
 
 
 # -- basis-state helpers -----------------------------------------------------
@@ -171,26 +166,27 @@ def resonant_frequency_table(cfg: ChainConfig) -> list[float]:
     return freqs
 
 
-def _candidate_spins(freq: float, cfg: ChainConfig) -> range:
-    """Spins whose Larmor frequency could be within the near-resonant window.
+def window_spins(freq: float, cfg: ChainConfig) -> list[int]:
+    """Spins whose transitions could fall inside the near-resonant window.
 
-    A transition of spin k lies within 2J of omega_k, so for spacing well
-    above the coupling only the spin nearest in frequency (plus immediate
-    neighbours, to cover rounding) can compete.  For small spacings fall
-    back to scanning the whole chain.
+    A flip of spin k lies within 2J of omega_k (for omega_k >= 0), so only
+    spins with |omega_k - freq| <= 6J can respond to the pulse at all.
     """
-    n = cfg.n_qubits
-    if cfg.larmor_spacing <= 8.0 * cfg.coupling:
-        return range(n)
-    guess = round((freq - cfg.base_larmor) / cfg.larmor_spacing)
-    lo = max(0, min(n - 1, guess - 1))
-    hi = max(0, min(n - 1, guess + 1))
-    return range(lo, hi + 1)
+    margin = (NEAR_RESONANT_MAX_J + 2.0 + RESONANCE_TOL) * cfg.coupling
+    guess = (freq - cfg.base_larmor) / cfg.larmor_spacing
+    lo = max(0, math.floor(guess - margin / cfg.larmor_spacing))
+    hi = min(cfg.n_qubits - 1, math.ceil(guess + margin / cfg.larmor_spacing))
+    return [
+        k for k in range(lo, hi + 1) if abs(cfg.omega(k) - freq) <= margin
+    ]
 
 
 def nearest_flip(state: int, freq: float, cfg: ChainConfig) -> tuple[int, float]:
     """Spin whose transition lies closest to ``freq`` and its signed flip energy.
 
+    Only the spins of ``window_spins`` are searched: every other spin's
+    transitions lie outside the near-resonant window.  With no spin in the
+    window the result is (-1, 0.0).
     Raises AmbiguousTransitionError when a second spin also falls inside the
     near-resonant window, which would invalidate the two-level reduction.
     """
@@ -198,7 +194,7 @@ def nearest_flip(state: int, freq: float, cfg: ChainConfig) -> tuple[int, float]
     best_e = 0.0
     best_d = float("inf")
     second_d = float("inf")
-    for k in _candidate_spins(freq, cfg):
+    for k in window_spins(freq, cfg):
         e = flip_energy(state, k, cfg)
         d = abs(abs(e) - freq)
         if d < best_d:

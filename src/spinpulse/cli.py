@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -172,21 +173,17 @@ def _run_engine(
 ) -> RunReport:
     initial = SparseState.from_basis(0)
     engine_opts = doc.get("engine", {})
+    run = dict(cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed)
     if engine == "perturbative":
-        return run_protocol(
-            initial, protocol, cfg,
-            cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed,
-        )
+        return run_protocol(initial, protocol, cfg, **run)
     if engine == "exact":
         return run_protocol_exact(
-            initial, protocol, cfg,
-            cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed,
+            initial, protocol, cfg, **run,
             cap=engine_opts.get("max_qubits", DEFAULT_QUBIT_CAP),
         )
     if engine == "classical":
         return run_protocol_classical(
-            initial, protocol, cfg,
-            cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed,
+            initial, protocol, cfg, **run,
             step=engine_opts.get("step"),
             norm_tol=engine_opts.get("norm_tol", 1e-9),
         )
@@ -278,15 +275,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     _write(out_dir, "regions.csv", region.to_csv())
     intervals = {
-        repr(dw): [
-            {
-                "rabi_low": iv.rabi_low,
-                "rabi_high": iv.rabi_high,
-                "anchor_k": iv.anchor_k,
-                "anchor_rabi": iv.anchor_rabi,
-            }
-            for iv in row
-        ]
+        repr(dw): [asdict(iv) for iv in row]
         for dw, row in zip(region.spacings, region.intervals)
     }
     _write(out_dir, "intervals.json", json.dumps(intervals, indent=2) + "\n")
@@ -314,13 +303,7 @@ def cmd_compare(args) -> int:
     lines = [f"{vary},p_exact,p_formula"]
     for value in values:
         if vary == "spacing":
-            cfg_i = ChainConfig(
-                n_qubits=cfg.n_qubits,
-                larmor_spacing=value,
-                base_larmor=10.0 * value,
-                coupling=cfg.coupling,
-                cutoff=cfg.cutoff,
-            )
+            cfg_i = replace(cfg, larmor_spacing=value, base_larmor=10.0 * value)
             rabi = comp.get("rabi", gate.get("rabi"))
             k = comp.get("k", gate.get("k"))
         else:
@@ -392,34 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", required=True, help="output directory")
 
-    p_sim = sub.add_parser("simulate", help="run the sparse perturbative engine")
-    add_common(p_sim)
-    p_sim.add_argument("--engine", choices=["perturbative", "exact", "classical"])
-    p_sim.add_argument("--cutoff", type=float)
-    p_sim.add_argument("--doubled-probabilities", action="store_true")
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--trace", action="store_true")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sime = sub.add_parser("simulate-exact", help="run the exact dense engine")
-    add_common(p_sime)
-    p_sime.add_argument("--cutoff", type=float)
-    p_sime.add_argument("--doubled-probabilities", action="store_true")
-    p_sime.add_argument("--seed", type=int)
-    p_sime.add_argument("--trace", action="store_true")
-    p_sime.set_defaults(
-        func=lambda a: cmd_simulate(a, engine_override="exact"), engine=None
-    )
-
-    p_cls = sub.add_parser("classical", help="run the oscillator-pair engine")
-    add_common(p_cls)
-    p_cls.add_argument("--cutoff", type=float)
-    p_cls.add_argument("--doubled-probabilities", action="store_true")
-    p_cls.add_argument("--seed", type=int)
-    p_cls.add_argument("--trace", action="store_true")
-    p_cls.set_defaults(
-        func=lambda a: cmd_simulate(a, engine_override="classical"), engine=None
-    )
+    for name, engine, help_text in (
+        ("simulate", None, "run the sparse perturbative engine"),
+        ("simulate-exact", "exact", "run the exact dense engine"),
+        ("classical", "classical", "run the oscillator-pair engine"),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        add_common(p_run)
+        if engine is None:
+            p_run.add_argument("--engine", choices=["perturbative", "exact", "classical"])
+        p_run.add_argument("--cutoff", type=float)
+        p_run.add_argument("--doubled-probabilities", action="store_true")
+        p_run.add_argument("--seed", type=int)
+        p_run.add_argument("--trace", action="store_true")
+        p_run.set_defaults(
+            func=lambda a, engine=engine: cmd_simulate(a, engine_override=engine),
+            engine=None,
+        )
 
     p_des = sub.add_parser("design", help="build a gate protocol file")
     add_common(p_des)

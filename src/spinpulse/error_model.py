@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -343,13 +343,7 @@ def sweep_threshold_regions(
     rabis = tuple(float(r) for r in rabis)
     probs = np.empty((len(spacings), len(rabis)))
     for i, dw in enumerate(spacings):
-        cfg_i = ChainConfig(
-            n_qubits=cfg.n_qubits,
-            larmor_spacing=dw,
-            base_larmor=10.0 * dw,
-            coupling=cfg.coupling,
-            cutoff=cfg.cutoff,
-        )
+        cfg_i = replace(cfg, larmor_spacing=dw, base_larmor=10.0 * dw)
         for jx, om in enumerate(rabis):
             probs[i, jx] = total_error(cfg_i, om).probability
 

@@ -28,8 +28,8 @@ from .chain import (
     classify_transition,
 )
 from .exceptions import QubitCapError
-from .pulses import Protocol, Pulse
-from .report import RunReport, TraceEntry, make_report
+from .pulses import Protocol, Pulse, as_protocol
+from .report import RunReport, make_report, reporting_cutoff, run_pulses
 from .sparse_engine import SparseState
 
 DEFAULT_QUBIT_CAP = 14
@@ -43,13 +43,17 @@ def _check_cap(cfg: ChainConfig, cap: int) -> None:
         )
 
 
+def _spin_signs(cfg: ChainConfig) -> np.ndarray:
+    """s_k = +1 (bit 0) or -1 (bit 1) of every basis state, shape (2^N, N)."""
+    n = cfg.n_qubits
+    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return 1 - 2 * bits
+
+
 def h0_energies(cfg: ChainConfig) -> np.ndarray:
     """Static-chain energies of all 2^N basis states, indexed by bit value."""
-    n = cfg.n_qubits
-    dim = 1 << n
-    bits = (np.arange(dim, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    sigma = 1 - 2 * bits
-    omegas = cfg.base_larmor + cfg.larmor_spacing * np.arange(n, dtype=np.float64)
+    sigma = _spin_signs(cfg)
+    omegas = cfg.base_larmor + cfg.larmor_spacing * np.arange(cfg.n_qubits, dtype=np.float64)
     zeeman = sigma @ omegas
     bonds = (sigma[:, :-1] * sigma[:, 1:]).sum(axis=1)
     return -0.5 * zeeman - 0.5 * cfg.coupling * bonds
@@ -57,11 +61,7 @@ def h0_energies(cfg: ChainConfig) -> np.ndarray:
 
 def rotating_diagonal(freq: float, cfg: ChainConfig) -> np.ndarray:
     """Diagonal of the rotating-frame Hamiltonian for a drive at ``freq``."""
-    n = cfg.n_qubits
-    dim = 1 << n
-    bits = (np.arange(dim, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    sigma_sum = (1 - 2 * bits).sum(axis=1)
-    chi = -0.5 * freq * sigma_sum
+    chi = -0.5 * freq * _spin_signs(cfg).sum(axis=1)
     return h0_energies(cfg) - chi
 
 
@@ -169,6 +169,33 @@ def two_level_block(
     return e_low, e_high, v_low, v_high
 
 
+def dense_amplitudes(
+    initial: SparseState | dict[int, complex] | np.ndarray, dim: int
+) -> np.ndarray:
+    """Initial state of a dense engine as a fresh length-``dim`` vector."""
+    if isinstance(initial, SparseState):
+        initial = initial.amps
+    if isinstance(initial, dict):
+        c = np.zeros(dim, dtype=np.complex128)
+        for s, amp in initial.items():
+            c[s] = amp
+        return c
+    c = np.asarray(initial, dtype=np.complex128).copy()
+    if c.shape != (dim,):
+        raise ValueError(f"initial vector must have length {dim}")
+    return c
+
+
+def dense_view(
+    re: np.ndarray, im: np.ndarray, threshold: float
+) -> tuple[dict[int, complex], float]:
+    """Amplitudes at or above ``threshold`` and the probability below it."""
+    probs = re**2 + im**2
+    keep = np.flatnonzero(probs >= threshold)
+    amps = {int(s): complex(re[s], im[s]) for s in keep}
+    return amps, float(probs.sum()) - float(probs[keep].sum())
+
+
 def run_protocol_exact(
     initial: SparseState | dict[int, complex] | np.ndarray,
     protocol: Protocol | list[Pulse] | tuple[Pulse, ...],
@@ -189,81 +216,36 @@ def run_protocol_exact(
     per distinct (frequency, rabi) within the run.
     """
     _check_cap(cfg, cap)
-    if not isinstance(protocol, Protocol):
-        protocol = Protocol(pulses=tuple(protocol))
-    threshold = cfg.cutoff if cutoff is None else cutoff
-    dim = 1 << cfg.n_qubits
-
-    if isinstance(initial, SparseState):
-        entries = initial.amps
-    elif isinstance(initial, dict):
-        entries = initial
-    else:
-        entries = None
-    if entries is not None:
-        c = np.zeros(dim, dtype=np.complex128)
-        for s, amp in entries.items():
-            c[s] = amp
-    else:
-        c = np.asarray(initial, dtype=np.complex128).copy()
-        if c.shape != (dim,):
-            raise ValueError(f"initial vector must have length {dim}")
-
-    ref_state = protocol.initial_state if protocol.initial_state is not None else 0
+    protocol = as_protocol(protocol)
+    threshold = reporting_cutoff(cfg, cutoff)
     eig_cache: dict[tuple[float, float], EigenSystem] = {}
-    diag_cache: dict[float, np.ndarray] = {}
 
-    generation: dict[int, int] = {}
-    probs = (c.real**2 + c.imag**2)
-    for s in np.flatnonzero(probs >= threshold):
-        generation[int(s)] = 0
-
-    trace_rows: list[TraceEntry] | None = None
-    if trace:
-        trace_rows = [
-            TraceEntry(0, 0.0, float(probs.sum()), 0.0, len(generation), complex(c[ref_state]))
-        ]
-
-    t = 0.0
-    for idx, pulse in enumerate(protocol.pulses, start=1):
+    def step(state: tuple[np.ndarray, float], pulse: Pulse) -> tuple[np.ndarray, float]:
+        c, t = state
         key = (pulse.frequency, pulse.rabi)
         if key not in eig_cache:
             eig_cache[key] = diagonalize(build_rotating_hamiltonian(pulse, cfg, cap))
-        if pulse.frequency not in diag_cache:
-            diag_cache[pulse.frequency] = rotating_diagonal(pulse.frequency, cfg)
-        diag = diag_cache[pulse.frequency]
-
-        a = np.exp(-1j * diag * t) * c
+        a = interaction_to_rotating(c, pulse, cfg, t)
         a = evolve_pulse_exact(a, pulse, cfg, pulse.duration, eig_cache[key], cap)
         t += pulse.duration
-        c = np.exp(1j * diag * t) * a
+        return rotating_to_interaction(a, pulse, cfg, t), t
 
-        probs = c.real**2 + c.imag**2
-        for s in np.flatnonzero(probs >= threshold):
-            s = int(s)
-            if s not in generation:
-                generation[s] = idx
-        if trace_rows is not None:
-            above = int((probs >= threshold).sum())
-            trace_rows.append(
-                TraceEntry(idx, t, float(probs.sum()), 0.0, above, complex(c[ref_state]))
-            )
+    def view(state: tuple[np.ndarray, float]):
+        c, t = state
+        return (*dense_view(c.real, c.imag, threshold), t)
 
-    probs = c.real**2 + c.imag**2
-    keep = np.flatnonzero(probs >= threshold)
-    final_amps = {int(s): complex(c[s]) for s in keep}
-    stored = float(probs[keep].sum())
-    leaked = float(probs.sum()) - stored
-
+    _, (amps, leaked, time), generation, rows = run_pulses(
+        (dense_amplitudes(initial, cfg.dimension), 0.0), protocol, step, view, trace
+    )
     return make_report(
         "exact",
         cfg,
-        protocol if protocol.pulses else None,
-        final_amps,
+        protocol,
+        amps,
         leaked,
-        t,
+        time,
         generation,
-        trace=trace_rows,
+        trace=rows,
         doubled=doubled,
         prune_cutoff=threshold,
         seed=seed,

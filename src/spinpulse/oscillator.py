@@ -31,40 +31,17 @@ the estimated norm drift over the whole protocol is within tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainConfig
-from .exact_engine import h0_energies
+from .exact_engine import dense_amplitudes, dense_view, h0_energies
 from .exceptions import IntegrationStepError, QubitCapError
-from .pulses import Protocol, Pulse
-from .report import RunReport, TraceEntry, make_report
+from .pulses import Protocol, Pulse, as_protocol
+from .report import RunReport, make_report, reporting_cutoff, run_pulses
 from .sparse_engine import SparseState
 
 CLASSICAL_QUBIT_CAP = 8
-
-
-@dataclass
-class OscillatorState:
-    """2^N canonical pairs: x[n] = Re c_n, p[n] = Im c_n."""
-
-    x: np.ndarray
-    p: np.ndarray
-    time: float = 0.0
-
-
-def to_classical(amps: np.ndarray, time: float = 0.0) -> OscillatorState:
-    c = np.asarray(amps, dtype=np.complex128)
-    return OscillatorState(x=c.real.copy(), p=c.imag.copy(), time=time)
-
-
-def to_quantum(state: OscillatorState) -> np.ndarray:
-    return state.x + 1j * state.p
-
-
-def classical_norm(state: OscillatorState) -> float:
-    return float(np.sum(state.x * state.x + state.p * state.p))
 
 
 def _check_cap(cfg: ChainConfig, cap: int) -> None:
@@ -153,48 +130,6 @@ def _integrate_pulse(
     return y
 
 
-def integrate(
-    state: OscillatorState,
-    protocol: Protocol | list[Pulse] | tuple[Pulse, ...],
-    cfg: ChainConfig,
-    step: float | None = None,
-    *,
-    norm_tol: float = 1e-9,
-    cap: int = CLASSICAL_QUBIT_CAP,
-) -> OscillatorState:
-    """Integrate the oscillator pairs through a full pulse sequence.
-
-    Raises IntegrationStepError when the norm drifts by more than
-    ``norm_tol`` over the protocol, the signature of a too-large step.
-    """
-    _check_cap(cfg, cap)
-    if not isinstance(protocol, Protocol):
-        protocol = Protocol(pulses=tuple(protocol))
-    if not protocol.pulses:
-        return OscillatorState(x=state.x.copy(), p=state.p.copy(), time=state.time)
-    if step is None:
-        step = default_step(cfg, protocol, norm_tol)
-
-    energies = h0_energies(cfg)
-    s_mat, k_mat = _coupling_matrices(cfg)
-    dim = energies.size
-    y = np.concatenate([state.x, state.p]).astype(np.float64)
-    norm_in = float(np.sum(y * y))
-    t = state.time
-    for pulse in protocol.pulses:
-        w = _stage_matrices(energies, s_mat, k_mat, pulse.rabi)
-        y = _integrate_pulse(y, w, pulse.frequency, t, pulse.duration, step)
-        t += pulse.duration
-
-    norm_out = float(np.sum(y * y))
-    if not math.isfinite(norm_out) or abs(norm_out - norm_in) > norm_tol * max(1.0, norm_in):
-        raise IntegrationStepError(
-            f"norm drifted by {abs(norm_out - norm_in):.3e} over the protocol "
-            f"(tolerance {norm_tol:.1e}); reduce the step"
-        )
-    return OscillatorState(x=y[:dim].copy(), p=y[dim:].copy(), time=t)
-
-
 def run_protocol_classical(
     initial: SparseState | dict[int, complex] | np.ndarray,
     protocol: Protocol | list[Pulse] | tuple[Pulse, ...],
@@ -208,85 +143,53 @@ def run_protocol_classical(
     seed: int | None = None,
     cap: int = CLASSICAL_QUBIT_CAP,
 ) -> RunReport:
-    """Run the oscillator system through a protocol and report |c_n|^2.
+    """Run the oscillator system through a protocol and report c_n = x_n + i p_n.
 
-    The oscillator pairs carry laboratory-frame amplitudes; only their
-    probabilities are reported, which coincide with the other engines'.
-    ``leaked`` is the probability left below the reporting cutoff.
+    The oscillator pairs carry laboratory-frame amplitudes: the exact
+    engine's interaction-picture C_n times exp(-i E_n t), with the same
+    probabilities.  ``leaked`` is the probability left below the reporting
+    cutoff.
     """
     _check_cap(cfg, cap)
-    if not isinstance(protocol, Protocol):
-        protocol = Protocol(pulses=tuple(protocol))
-    threshold = cfg.cutoff if cutoff is None else cutoff
-    dim = 1 << cfg.n_qubits
-
-    if isinstance(initial, SparseState):
-        entries: dict[int, complex] | None = initial.amps
-    elif isinstance(initial, dict):
-        entries = initial
-    else:
-        entries = None
-    if entries is not None:
-        c = np.zeros(dim, dtype=np.complex128)
-        for s, amp in entries.items():
-            c[s] = amp
-    else:
-        c = np.asarray(initial, dtype=np.complex128).copy()
-
+    protocol = as_protocol(protocol)
+    threshold = reporting_cutoff(cfg, cutoff)
     if step is None and protocol.pulses:
         step = default_step(cfg, protocol, norm_tol)
     energies = h0_energies(cfg)
     s_mat, k_mat = _coupling_matrices(cfg)
+    dim = energies.size
 
-    osc = to_classical(c)
-    ref_state = protocol.initial_state if protocol.initial_state is not None else 0
-    probs = osc.x**2 + osc.p**2
-    generation = {int(s): 0 for s in np.flatnonzero(probs >= threshold)}
-    trace_rows: list[TraceEntry] | None = None
-    if trace:
-        amp0 = complex(osc.x[ref_state], osc.p[ref_state])
-        trace_rows = [TraceEntry(0, 0.0, float(probs.sum()), 0.0, len(generation), amp0)]
-
-    y = np.concatenate([osc.x, osc.p])
-    norm_in = float(np.sum(y * y))
-    t = 0.0
-    for idx, pulse in enumerate(protocol.pulses, start=1):
+    def advance(state: tuple[np.ndarray, float], pulse: Pulse) -> tuple[np.ndarray, float]:
+        y, t = state
         w = _stage_matrices(energies, s_mat, k_mat, pulse.rabi)
         y = _integrate_pulse(y, w, pulse.frequency, t, pulse.duration, step)
-        t += pulse.duration
-        probs = y[:dim] ** 2 + y[dim:] ** 2
-        for s in np.flatnonzero(probs >= threshold):
-            s = int(s)
-            if s not in generation:
-                generation[s] = idx
-        if trace_rows is not None:
-            amp = complex(y[ref_state], y[dim + ref_state])
-            trace_rows.append(
-                TraceEntry(idx, t, float(probs.sum()), 0.0,
-                           int((probs >= threshold).sum()), amp)
-            )
+        return y, t + pulse.duration
 
+    def view(state: tuple[np.ndarray, float]):
+        y, t = state
+        return (*dense_view(y[:dim], y[dim:], threshold), t)
+
+    c = dense_amplitudes(initial, dim)
+    y = np.concatenate([c.real, c.imag])
+    norm_in = float(np.sum(y * y))
+    (y, _), (amps, leaked, time), generation, rows = run_pulses(
+        (y, 0.0), protocol, advance, view, trace
+    )
     norm_out = float(np.sum(y * y))
     if not math.isfinite(norm_out) or abs(norm_out - norm_in) > norm_tol * max(1.0, norm_in):
         raise IntegrationStepError(
             f"norm drifted by {abs(norm_out - norm_in):.3e} over the protocol "
             f"(tolerance {norm_tol:.1e}); reduce the step"
         )
-
-    probs = y[:dim] ** 2 + y[dim:] ** 2
-    keep = np.flatnonzero(probs >= threshold)
-    final_amps = {int(s): complex(y[s], y[dim + s]) for s in keep}
-    leaked = float(probs.sum()) - float(probs[keep].sum())
-
     return make_report(
         "classical",
         cfg,
-        protocol if protocol.pulses else None,
-        final_amps,
+        protocol,
+        amps,
         leaked,
-        t,
+        time,
         generation,
-        trace=trace_rows,
+        trace=rows,
         doubled=doubled,
         prune_cutoff=threshold,
         seed=seed,

@@ -17,14 +17,13 @@ class Pulse:
 
     ``frequency`` is the drive frequency, ``rabi`` the drive strength, and
     ``duration`` the length; rabi * duration = pi for a pi-pulse and pi/2
-    for a pi/2-pulse.  Phase is kept at zero throughout the protocols built
-    here and no engine models it; ``Protocol.from_dict`` rejects a non-zero one.
+    for a pi/2-pulse.  Every pulse has drive phase zero: no engine models
+    another one.
     """
 
     frequency: float
     rabi: float
     duration: float
-    phase: float = 0.0
     label: str = ""
 
     def __post_init__(self):
@@ -77,7 +76,6 @@ class Protocol:
                     "frequency": p.frequency,
                     "rabi": p.rabi,
                     "duration": p.duration,
-                    "phase": p.phase,
                     "label": p.label,
                 }
                 for p in self.pulses
@@ -96,9 +94,11 @@ class Protocol:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown protocol keys: {sorted(unknown)}")
-        pulses = tuple(Pulse(**entry) for entry in data["pulses"])
-        if any(p.phase != 0.0 for p in pulses):
+        # Older files carry each pulse's drive phase, which must be zero.
+        entries = [dict(entry) for entry in data["pulses"]]
+        if any(entry.pop("phase", 0.0) != 0.0 for entry in entries):
             raise ConfigError("non-zero pulse phase is not modelled by any engine")
+        pulses = tuple(Pulse(**entry) for entry in entries)
         return cls(
             pulses=pulses,
             gate=data.get("gate", ""),
@@ -112,3 +112,10 @@ class Protocol:
     @classmethod
     def load(cls, path: str | Path) -> "Protocol":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def as_protocol(pulses: Protocol | list[Pulse] | tuple[Pulse, ...]) -> Protocol:
+    """A protocol as is, or a bare pulse sequence wrapped as one."""
+    if isinstance(pulses, Protocol):
+        return pulses
+    return Protocol(pulses=tuple(pulses))

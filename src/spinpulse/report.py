@@ -18,18 +18,25 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .chain import ChainConfig, basis_energy, flip_count, state_to_string
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
-from .pulses import Protocol
+from .pulses import Protocol, Pulse
 
 REPORT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """Per-pulse snapshot; entry 0 describes the state before any pulse."""
+    """Per-pulse snapshot; entry 0 describes the state before any pulse.
+
+    ``norm`` is the probability at or above the run's cutoff and ``leaked``
+    the probability below it, ``n_states`` counts the states at or above the
+    cutoff, and ``reference_amplitude`` is the protocol's initial state's
+    amplitude (basis state 0 without a path), None when below the cutoff.
+    """
 
     pulse_index: int
     time: float
@@ -79,9 +86,7 @@ class RunReport:
         return self.convention_factor * (c.real * c.real + c.imag * c.imag)
 
     def stored_norm(self) -> float:
-        return math.fsum(
-            c.real * c.real + c.imag * c.imag for c in self.final_amps.values()
-        )
+        return _probability(self.final_amps)
 
     @property
     def wanted_states(self) -> frozenset[int]:
@@ -238,6 +243,55 @@ def records_csv(records: list[UnwantedRecord]) -> str:
     return buf.getvalue()
 
 
+def _probability(amps: dict[int, complex]) -> float:
+    return math.fsum(c.real * c.real + c.imag * c.imag for c in amps.values())
+
+
+def reporting_cutoff(cfg: ChainConfig, cutoff: float | None) -> float:
+    """The probability cutoff of a run: ``cutoff``, or the chain config's."""
+    return cfg.cutoff if cutoff is None else cutoff
+
+
+State = TypeVar("State")
+View = tuple[dict[int, complex], float, float]  # (amps, leaked, time)
+
+
+def run_pulses(
+    state: State,
+    protocol: Protocol,
+    step: Callable[[State, Pulse], State],
+    view: Callable[[State], View],
+    trace: bool,
+) -> tuple[State, View, dict[int, int], list[TraceEntry] | None]:
+    """The run loop of every engine: apply each pulse, then look at the state.
+
+    ``step(state, pulse)`` advances an engine's state through one pulse and
+    ``view(state)`` returns (amps, leaked, time): the amplitudes at or above
+    the cutoff, the probability below it, and the time reached.  The ledger
+    ``generation[s]`` is the first pulse index after which ``s`` was seen
+    above the cutoff, 0 for the start.  Returns the final state, its view,
+    the ledger and the trace rows (None unless ``trace``).
+    """
+    ref = protocol.initial_state if protocol.initial_state is not None else 0
+    shown = view(state)
+    generation = dict.fromkeys(shown[0], 0)
+    rows = [_trace_entry(0, shown, ref)] if trace else None
+    for idx, pulse in enumerate(protocol.pulses, start=1):
+        state = step(state, pulse)
+        shown = view(state)
+        for s in shown[0]:
+            if s not in generation:
+                generation[s] = idx
+        if rows is not None:
+            rows.append(_trace_entry(idx, shown, ref))
+    return state, shown, generation, rows
+
+
+def _trace_entry(idx: int, shown: View, ref: int) -> TraceEntry:
+    amps, leaked, time = shown
+    return TraceEntry(idx, time, _probability(amps), leaked, len(amps), amps.get(ref))
+
+
 def config_fingerprint(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -257,7 +311,7 @@ def make_report(
     prune_cutoff: float | None = None,
     seed: int | None = None,
 ) -> RunReport:
-    proto_dict = protocol.to_dict() if protocol is not None else None
+    proto_dict = protocol.to_dict() if protocol is not None and protocol.pulses else None
     fingerprint = config_fingerprint(
         {
             "engine": engine,

@@ -39,10 +39,12 @@ from .chain import (
     NEAR_RESONANT_MAX_J,
     RESONANCE_TOL,
     ChainConfig,
+    flip_energy,
     nearest_flip,
+    window_spins,
 )
-from .pulses import Protocol, Pulse
-from .report import RunReport, TraceEntry, make_report
+from .pulses import Protocol, Pulse, as_protocol
+from .report import RunReport, make_report, reporting_cutoff, run_pulses
 
 
 @dataclass
@@ -72,21 +74,6 @@ def norm_deficit(state: SparseState) -> float:
     return 1.0 - state.norm()
 
 
-def _window_spins(freq: float, cfg: ChainConfig) -> list[int]:
-    """Spins whose transitions could fall inside the near-resonant window.
-
-    A flip of spin k lies within 2J of omega_k, so only spins with
-    |omega_k - freq| <= 6J can respond to the pulse at all.
-    """
-    margin = (NEAR_RESONANT_MAX_J + 2.0) * cfg.coupling + RESONANCE_TOL
-    guess = (freq - cfg.base_larmor) / cfg.larmor_spacing
-    lo = max(0, math.floor(guess - margin / cfg.larmor_spacing))
-    hi = min(cfg.n_qubits - 1, math.ceil(guess + margin / cfg.larmor_spacing))
-    return [
-        k for k in range(lo, hi + 1) if abs(cfg.omega(k) - freq) <= margin
-    ]
-
-
 def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseState:
     """Propagate every tracked amplitude through one pulse (no pruning)."""
     nu = pulse.frequency
@@ -94,12 +81,9 @@ def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseSta
     tau = pulse.duration
     t0 = state.time
     j = cfg.coupling
-    omega0 = cfg.base_larmor
-    spacing = cfg.larmor_spacing
-    n = cfg.n_qubits
     window = NEAR_RESONANT_MAX_J * j + RESONANCE_TOL * j
 
-    spins = _window_spins(nu, cfg)
+    spins = window_spins(nu, cfg)
     single = spins[0] if len(spins) == 1 else None
 
     amps = state.amps
@@ -111,14 +95,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseSta
             continue
         if single is not None:
             k = single
-            # signed energy change of flipping spin k, from local bits only
-            sigma = 1 - 2 * ((s >> k) & 1)
-            nb = 0
-            if k > 0:
-                nb += 1 - 2 * ((s >> (k - 1)) & 1)
-            if k < n - 1:
-                nb += 1 - 2 * ((s >> (k + 1)) & 1)
-            e = sigma * (omega0 + k * spacing) + j * sigma * nb
+            e = flip_energy(s, k, cfg)
         elif not spins:
             new_amps[s] = amps[s]
             continue
@@ -184,53 +161,24 @@ def run_protocol(
     divided by two.  The generation ledger records, for every state, the
     first pulse index after which it was stored above the cutoff.
     """
-    if not isinstance(protocol, Protocol):
-        protocol = Protocol(pulses=tuple(protocol))
-    threshold = cfg.cutoff if cutoff is None else cutoff
-
-    ref_state = protocol.initial_state if protocol.initial_state is not None else 0
-    state = initial
-    generation = {s: 0 for s in sorted(initial.amps)}
-    trace_rows: list[TraceEntry] | None = None
-    if trace:
-        trace_rows = [
-            TraceEntry(
-                pulse_index=0,
-                time=state.time,
-                norm=state.norm(),
-                leaked=state.leaked,
-                n_states=len(state.amps),
-                reference_amplitude=state.amps.get(ref_state),
-            )
-        ]
-
-    for idx, pulse in enumerate(protocol.pulses, start=1):
-        state = apply_pulse(state, pulse, cfg)
-        state = prune(state, threshold)
-        for s in state.amps:
-            if s not in generation:
-                generation[s] = idx
-        if trace_rows is not None:
-            trace_rows.append(
-                TraceEntry(
-                    pulse_index=idx,
-                    time=state.time,
-                    norm=state.norm(),
-                    leaked=state.leaked,
-                    n_states=len(state.amps),
-                    reference_amplitude=state.amps.get(ref_state),
-                )
-            )
-
+    protocol = as_protocol(protocol)
+    threshold = reporting_cutoff(cfg, cutoff)
+    _, (amps, leaked, time), generation, rows = run_pulses(
+        initial,
+        protocol,
+        lambda state, pulse: prune(apply_pulse(state, pulse, cfg), threshold),
+        lambda state: (state.amps, state.leaked, state.time),
+        trace,
+    )
     return make_report(
         "perturbative",
         cfg,
-        protocol if protocol.pulses else None,
-        state.amps,
-        state.leaked,
-        state.time,
+        protocol,
+        amps,
+        leaked,
+        time,
         generation,
-        trace=trace_rows,
+        trace=rows,
         doubled=doubled,
         prune_cutoff=threshold,
         seed=seed,

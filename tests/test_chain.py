@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse.chain import nearest_flip
+from spinpulse.chain import NEAR_RESONANT_MAX_J, RESONANCE_TOL, nearest_flip
 
 CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=10.0, base_larmor=100.0)
 
@@ -151,6 +151,51 @@ class TestClassifyTransition:
         # drive between the spin-1 and spin-0 lines: both fall within 4J
         with pytest.raises(sp.AmbiguousTransitionError):
             nearest_flip(0, cfg.omega(1) - 2.0, cfg)
+
+
+def classify_by_full_scan(state, freq, cfg):
+    """Reference classification that tries every spin of the chain."""
+    j = cfg.coupling
+    window = NEAR_RESONANT_MAX_J * j + RESONANCE_TOL * j
+    scored = sorted(
+        (abs(abs(sp.flip_energy(state, k, cfg)) - freq), k) for k in range(cfg.n_qubits)
+    )
+    if len(scored) > 1 and scored[1][0] <= window:
+        return None  # a second transition in the window: ambiguous
+    k = scored[0][1]
+    delta = abs(sp.flip_energy(state, k, cfg)) - freq
+    if abs(delta) < RESONANCE_TOL * j:
+        return sp.TransitionKind.RESONANT, k, delta
+    if abs(delta) <= window:
+        return sp.TransitionKind.NEAR_RESONANT, k, delta
+    return sp.TransitionKind.NON_RESONANT, k, delta
+
+
+class TestWindowAgainstFullScan:
+    @given(
+        n=st.integers(2, 12),
+        spacing_j=st.floats(3.0, 20.0),
+        coupling=st.sampled_from([0.7, 1.3]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_classification_matches_full_scan(self, n, spacing_j, coupling, data):
+        cfg = sp.ChainConfig(
+            n_qubits=n, larmor_spacing=spacing_j * coupling, coupling=coupling
+        )
+        state = data.draw(st.integers(0, (1 << n) - 1), label="state")
+        for line in sp.resonant_frequency_table(cfg):
+            for offset in (0.0, 2.0, -2.0, 0.3, -0.3):
+                freq = line + offset * coupling
+                expected = classify_by_full_scan(state, freq, cfg)
+                if expected is None:
+                    with pytest.raises(sp.AmbiguousTransitionError):
+                        sp.classify_transition(state, freq, cfg)
+                    continue
+                got = sp.classify_transition(state, freq, cfg)
+                assert got.kind is expected[0]
+                if got.kind is not sp.TransitionKind.NON_RESONANT:
+                    assert (got.spin, got.detuning) == expected[1:]
 
 
 class TestChainConfig:

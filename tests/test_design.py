@@ -200,3 +200,19 @@ class TestProtocolSerialization:
         data["surprise"] = 1
         with pytest.raises(sp.ConfigError):
             sp.Protocol.from_dict(data)
+
+    def test_pulse_has_no_phase(self):
+        with pytest.raises(TypeError):
+            sp.Pulse(frequency=100.0, rabi=0.2, duration=1.0, phase=0.3)
+        cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=100.0)
+        data = sp.build_cn_protocol(cfg, rabi=0.2).to_dict()
+        assert all("phase" not in pulse for pulse in data["pulses"])
+
+    def test_zero_phase_of_older_files_loads(self):
+        cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=100.0)
+        proto = sp.build_cn_protocol(cfg, rabi=0.2)
+        data = proto.to_dict()
+        for pulse in data["pulses"]:
+            pulse["phase"] = 0.0
+        assert sp.Protocol.from_dict(data) == proto
+

@@ -1,10 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse.report import UnwantedRecord, make_report
+from spinpulse.report import UnwantedRecord, accumulated_reference_phase, make_report
 from spinpulse.sparse_engine import SparseState
 
 CFG = sp.ChainConfig(n_qubits=6, larmor_spacing=100.0)
@@ -257,7 +259,53 @@ class TestPhaseReport:
         far = sp.phase_report(reports[0], reports[2])
         assert 0.0 < near.deviation < far.deviation
 
+    def test_report_with_zero_pulse_phases_loads(self):
+        # reports written while pulses carried a (zero) phase still analyse
+        report, _ = small_run(trace=True)
+        doc = json.loads(json.dumps(report.to_dict()))
+        for pulse in doc["protocol"]["pulses"]:
+            pulse["phase"] = 0.0
+        loaded = sp.RunReport.from_dict(doc)
+        assert accumulated_reference_phase(loaded) == accumulated_reference_phase(report)
+
     def test_trace_required(self):
         report, _ = small_run(trace=False)
         with pytest.raises(ValueError):
             sp.phase_report(report, report)
+
+
+ENGINES = [sp.run_protocol, sp.run_protocol_exact, sp.run_protocol_classical]
+DENSE_ENGINES = [sp.run_protocol_exact, sp.run_protocol_classical]
+
+
+class TestSharedRunLoop:
+    CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=5.0, base_larmor=8.0)
+
+    def two_pulses(self):
+        cfg = self.CFG2
+        return sp.Protocol(
+            pulses=tuple(
+                sp.Pulse(frequency=sp.transition_frequency(0, k, cfg), rabi=0.5,
+                         duration=math.pi)
+                for k in (1, 0)
+            )
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda f: f.__name__)
+    def test_last_trace_row_describes_the_report(self, engine):
+        # norm is the probability at or above the cutoff, leaked the rest
+        report = engine(
+            SparseState.from_basis(0), self.two_pulses(), self.CFG2,
+            cutoff=1e-2, trace=True,
+        )
+        last = report.trace[-1]
+        assert report.leaked > 0.0
+        assert (last.norm, last.leaked, last.n_states) == (
+            report.stored_norm(), report.leaked, len(report.final_amps)
+        )
+
+    @pytest.mark.parametrize("engine", DENSE_ENGINES, ids=lambda f: f.__name__)
+    def test_wrong_length_initial_vector_rejected(self, engine):
+        with pytest.raises(ValueError, match="initial vector must have length 4"):
+            engine(np.ones(3, dtype=complex), self.two_pulses(), self.CFG2)
+
