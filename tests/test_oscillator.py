@@ -9,7 +9,58 @@ from spinpulse.oscillator import _coupling_matrices, _integrate_pulse, _stage_ma
 from spinpulse.sparse_engine import SparseState
 
 
+def _one_spin_pulse_pair(c0: np.ndarray) -> tuple[dict, dict]:
+    """Classical amplitudes and the exact ones times exp(-i E_p T), N=1."""
+    cfg = sp.ChainConfig(n_qubits=1, larmor_spacing=10.0, base_larmor=15.0)
+    pulse = sp.Pulse(frequency=cfg.omega(0), rabi=0.5, duration=1.3)
+    rep_c = sp.run_protocol_classical(c0, [pulse], cfg, cutoff=1e-300)
+    rep_e = sp.run_protocol_exact(c0, [pulse], cfg, cutoff=1e-300)
+    energies = h0_energies(cfg)
+    lab = {
+        s: c * np.exp(-1j * energies[s] * rep_e.time)
+        for s, c in rep_e.final_amps.items()
+    }
+    return rep_c.final_amps, lab
+
+
 class TestAmplitudeMapping:
+    def test_round_trip_random_vector(self):
+        # an empty protocol maps c -> (x, p) -> x + i p and nothing else
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=16) + 1j * rng.normal(size=16)
+        c /= np.linalg.norm(c)
+        cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=10.0)
+        report = sp.run_protocol_classical(c, [], cfg, cutoff=1e-300)
+        back = np.array([report.final_amps[s] for s in range(16)])
+        assert np.max(np.abs(back - c)) < 1e-14
+
+    def test_real_amplitude_maps_to_coordinate(self):
+        c0 = np.array([1.0 + 0j, 0j])
+        cfg = sp.ChainConfig(n_qubits=1, larmor_spacing=10.0)
+        report = sp.run_protocol_classical(c0, [], cfg, cutoff=1e-300)
+        assert report.final_amps == {0: 1.0 + 0j}
+        # x carries the real part: the pair rotates as exp(-i E t), not
+        # exp(+i E t) as it would with the momentum carrying it
+        got, lab = _one_spin_pulse_pair(c0)
+        assert max(abs(got[s] - lab[s]) for s in range(2)) < 1e-8
+
+    def test_imaginary_amplitude_maps_to_momentum(self):
+        c0 = np.array([1j, 0j])
+        cfg = sp.ChainConfig(n_qubits=1, larmor_spacing=10.0)
+        report = sp.run_protocol_classical(c0, [], cfg, cutoff=1e-300)
+        assert report.final_amps == {0: 1j}
+        got, lab = _one_spin_pulse_pair(c0)
+        assert max(abs(got[s] - lab[s]) for s in range(2)) < 1e-8
+
+    def test_norm_convention(self):
+        # sum(x^2 + p^2) is the quantum norm: one for a normalized state
+        rng = np.random.default_rng(12)
+        c = rng.normal(size=8) + 1j * rng.normal(size=8)
+        c /= np.linalg.norm(c)
+        cfg = sp.ChainConfig(n_qubits=3, larmor_spacing=10.0)
+        report = sp.run_protocol_classical(c, [], cfg, cutoff=1e-300)
+        assert report.stored_norm() + report.leaked == pytest.approx(1.0, abs=1e-14)
+
     def test_lab_frame_amplitudes_match_exact_times_free_phase(self):
         # c = x + i p carries laboratory-frame amplitudes: C_p * exp(-i E_p T)
         # with C_p the exact engine's interaction-picture amplitudes
