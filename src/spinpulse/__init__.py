@@ -39,14 +39,12 @@ from .error_model import (
 )
 from .exact_engine import (
     EigenSystem,
-    RotatingHamiltonian,
     build_rotating_hamiltonian,
     diagonalize,
     evolve_pulse_exact,
     interaction_to_rotating,
     rotating_to_interaction,
     run_protocol_exact,
-    two_level_block,
 )
 from .exceptions import (
     AmbiguousTransitionError,
@@ -66,4 +64,4 @@ from .report import (
     excitation_profiles,
     phase_report,
 )
-from .sparse_engine import SparseState, apply_pulse, norm_deficit, prune, run_protocol
+from .sparse_engine import SparseState, apply_pulse, prune, run_protocol

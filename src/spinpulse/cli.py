@@ -25,6 +25,8 @@ Config document (version 1):
 Instead of "gate" a config may name an existing pulse file via
 "protocol_file".  The cutoff is interpreted in the reporting convention:
 with doubled probabilities the stored pruning threshold is cutoff/2.
+"engine.max_qubits" caps both dense engines: it defaults to 14 for the
+exact engine and to 8 for the classical one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .design import build_cn_protocol, perturb_protocol
 from .error_model import sweep_threshold_regions, total_error
 from .exact_engine import DEFAULT_QUBIT_CAP, run_protocol_exact
 from .exceptions import ConfigError, QubitCapError, SpinPulseError
-from .oscillator import run_protocol_classical
+from .oscillator import CLASSICAL_QUBIT_CAP, run_protocol_classical
 from .pulses import Protocol
 from .report import (
     RunReport, UnwantedRecord, band_classify, excitation_profiles, phase_report,
@@ -148,11 +150,16 @@ def _axis_values(axis) -> list[float]:
         extra = set(axis) - {"start", "stop", "points", "scale"}
         if extra:
             raise ConfigError(f"unknown axis keys: {sorted(extra)}")
+        missing = {"start", "stop", "points"} - set(axis)
+        if missing:
+            raise ConfigError(f"axis needs {sorted(missing)}")
         start, stop = float(axis["start"]), float(axis["stop"])
         points = int(axis["points"])
         if points < 2:
             raise ConfigError("axis needs at least 2 points")
         if axis.get("scale", "linear") == "log":
+            if start <= 0 or stop <= 0:
+                raise ConfigError("a log-scale axis needs positive start and stop")
             ratio = (stop / start) ** (1.0 / (points - 1))
             return [start * ratio**i for i in range(points)]
         step = (stop - start) / (points - 1)
@@ -184,6 +191,7 @@ def _run_engine(
     if engine == "classical":
         return run_protocol_classical(
             initial, protocol, cfg, **run,
+            cap=engine_opts.get("max_qubits", CLASSICAL_QUBIT_CAP),
             step=engine_opts.get("step"),
             norm_tol=engine_opts.get("norm_tol", 1e-9),
         )

@@ -190,4 +190,4 @@ def perturb_protocol(
                     )
                 pulse = replace(pulse, rabi=new_rabi)
         new_pulses.append(pulse)
-    return protocol.with_pulses(tuple(new_pulses))
+    return replace(protocol, pulses=tuple(new_pulses))

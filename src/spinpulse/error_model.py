@@ -46,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import ChainConfig, TransitionKind, classify_transition, flip_energy
+from .design import rabi_for_2pik
 from .pulses import Protocol, Pulse
 from .sparse_engine import SparseState, apply_pulse, prune
 
@@ -324,7 +325,7 @@ def nearest_2pik_anchor(rabi: float, coupling: float = 1.0) -> tuple[int, float]
     ``rabi`` for the standard 2J detuning."""
     delta = 2.0 * coupling
     k = max(1, round(0.5 * math.sqrt((delta / rabi) ** 2 + 1.0)))
-    return k, delta / math.sqrt(4.0 * k * k - 1.0)
+    return k, rabi_for_2pik(delta, k)
 
 
 def sweep_threshold_regions(

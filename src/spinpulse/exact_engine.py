@@ -16,17 +16,11 @@ tunable, not a physical claim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    ChainConfig,
-    TransitionKind,
-    basis_energy,
-    classify_transition,
-)
+from .chain import ChainConfig
 from .exceptions import QubitCapError
 from .pulses import Protocol, Pulse, as_protocol
 from .report import RunReport, make_report, reporting_cutoff, run_pulses
@@ -35,10 +29,11 @@ from .sparse_engine import SparseState
 DEFAULT_QUBIT_CAP = 14
 
 
-def _check_cap(cfg: ChainConfig, cap: int) -> None:
+def check_qubit_cap(cfg: ChainConfig, cap: int, engine: str) -> None:
+    """Refuse a chain of more than ``cap`` qubits; ``engine`` names the dense engine."""
     if cfg.n_qubits > cap:
         raise QubitCapError(
-            f"N={cfg.n_qubits} exceeds the dense-solver cap {cap}; "
+            f"N={cfg.n_qubits} exceeds the {engine} engine's cap {cap}; "
             "raise the cap explicitly if you have the memory for it"
         )
 
@@ -66,22 +61,6 @@ def rotating_diagonal(freq: float, cfg: ChainConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RotatingHamiltonian:
-    """Dense rotating-frame Hamiltonian of one pulse.
-
-    Real symmetric; every row has exactly N off-diagonal entries -rabi/2,
-    one per single-spin flip.
-    """
-
-    matrix: np.ndarray
-    pulse: Pulse
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray  # column q is the eigenvector for values[q]
@@ -89,35 +68,31 @@ class EigenSystem:
 
 def build_rotating_hamiltonian(
     pulse: Pulse, cfg: ChainConfig, cap: int = DEFAULT_QUBIT_CAP
-) -> RotatingHamiltonian:
-    _check_cap(cfg, cap)
+) -> np.ndarray:
+    """Dense rotating-frame Hamiltonian of one pulse.
+
+    Real symmetric; every row has exactly N off-diagonal entries -rabi/2,
+    one per single-spin flip.
+    """
+    check_qubit_cap(cfg, cap, "exact")
     dim = 1 << cfg.n_qubits
     h = np.zeros((dim, dim), dtype=np.float64)
     np.fill_diagonal(h, rotating_diagonal(pulse.frequency, cfg))
     idx = np.arange(dim)
     for k in range(cfg.n_qubits):
         h[idx, idx ^ (1 << k)] = -0.5 * pulse.rabi
-    return RotatingHamiltonian(matrix=h, pulse=pulse)
+    return h
 
 
-def diagonalize(ham: RotatingHamiltonian) -> EigenSystem:
-    values, vectors = np.linalg.eigh(ham.matrix)
+def diagonalize(ham: np.ndarray) -> EigenSystem:
+    values, vectors = np.linalg.eigh(ham)
     return EigenSystem(values=values, vectors=vectors)
 
 
 def evolve_pulse_exact(
-    amps: np.ndarray,
-    pulse: Pulse,
-    cfg: ChainConfig,
-    tau: float | None = None,
-    eigensystem: EigenSystem | None = None,
-    cap: int = DEFAULT_QUBIT_CAP,
+    amps: np.ndarray, eigensystem: EigenSystem, tau: float
 ) -> np.ndarray:
-    """Evolve rotating-frame amplitudes through one pulse of length ``tau``."""
-    if tau is None:
-        tau = pulse.duration
-    if eigensystem is None:
-        eigensystem = diagonalize(build_rotating_hamiltonian(pulse, cfg, cap))
+    """Evolve rotating-frame amplitudes for a time ``tau`` under one pulse."""
     v = eigensystem.vectors
     phases = np.exp(-1j * eigensystem.values * tau)
     return v @ (phases * (v.T @ amps))
@@ -134,39 +109,6 @@ def rotating_to_interaction(
     a_amps: np.ndarray, pulse: Pulse, cfg: ChainConfig, t: float
 ) -> np.ndarray:
     return np.exp(1j * rotating_diagonal(pulse.frequency, cfg) * t) * a_amps
-
-
-def two_level_block(
-    state: int, pulse: Pulse, cfg: ChainConfig
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the isolated 2x2 block of a pulse.
-
-    ``state`` must be the lower level of its pair.  Returns
-    (e_low, e_high, v_low, v_high) with eigenvectors expressed in (lower,
-    upper) coordinates:
-
-        e_low  = E_m - chi_m + Delta/2 - lambda/2,   v_low  ~ (rabi, lambda - Delta)
-        e_high = E_m - chi_m + Delta/2 + lambda/2,   v_high ~ (-(lambda - Delta), rabi)
-    """
-    cls = classify_transition(state, pulse.frequency, cfg)
-    if cls.kind is TransitionKind.NON_RESONANT:
-        raise ValueError("state has no transition near the pulse; no 2x2 block")
-    partner = state ^ (1 << cls.spin)
-    e_state = basis_energy(state, cfg)
-    e_partner = basis_energy(partner, cfg)
-    if e_state > e_partner:
-        raise ValueError("pass the lower level of the pair")
-    n1 = bin(state).count("1")
-    chi = -0.5 * pulse.frequency * (cfg.n_qubits - 2 * n1)
-    script_e_m = e_state - chi
-    delta = cls.detuning
-    lam = math.hypot(pulse.rabi, delta)
-    e_low = script_e_m + 0.5 * delta - 0.5 * lam
-    e_high = script_e_m + 0.5 * delta + 0.5 * lam
-    norm = math.hypot(lam - delta, pulse.rabi)
-    v_low = np.array([pulse.rabi, lam - delta]) / norm
-    v_high = np.array([-(lam - delta), pulse.rabi]) / norm
-    return e_low, e_high, v_low, v_high
 
 
 def dense_amplitudes(
@@ -215,7 +157,7 @@ def run_protocol_exact(
     the evolution itself conserves the norm.  Eigendecompositions are cached
     per distinct (frequency, rabi) within the run.
     """
-    _check_cap(cfg, cap)
+    check_qubit_cap(cfg, cap, "exact")
     protocol = as_protocol(protocol)
     threshold = reporting_cutoff(cfg, cutoff)
     eig_cache: dict[tuple[float, float], EigenSystem] = {}
@@ -226,7 +168,7 @@ def run_protocol_exact(
         if key not in eig_cache:
             eig_cache[key] = diagonalize(build_rotating_hamiltonian(pulse, cfg, cap))
         a = interaction_to_rotating(c, pulse, cfg, t)
-        a = evolve_pulse_exact(a, pulse, cfg, pulse.duration, eig_cache[key], cap)
+        a = evolve_pulse_exact(a, eig_cache[key], pulse.duration)
         t += pulse.duration
         return rotating_to_interaction(a, pulse, cfg, t), t
 

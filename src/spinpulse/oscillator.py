@@ -35,21 +35,13 @@ import math
 import numpy as np
 
 from .chain import ChainConfig
-from .exact_engine import dense_amplitudes, dense_view, h0_energies
-from .exceptions import IntegrationStepError, QubitCapError
+from .exact_engine import check_qubit_cap, dense_amplitudes, dense_view, h0_energies
+from .exceptions import IntegrationStepError
 from .pulses import Protocol, Pulse, as_protocol
 from .report import RunReport, make_report, reporting_cutoff, run_pulses
 from .sparse_engine import SparseState
 
 CLASSICAL_QUBIT_CAP = 8
-
-
-def _check_cap(cfg: ChainConfig, cap: int) -> None:
-    if cfg.n_qubits > cap:
-        raise QubitCapError(
-            f"N={cfg.n_qubits} exceeds the classical cap {cap}: "
-            f"the mapping needs 2^N oscillator pairs"
-        )
 
 
 def _coupling_matrices(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +142,7 @@ def run_protocol_classical(
     probabilities.  ``leaked`` is the probability left below the reporting
     cutoff.
     """
-    _check_cap(cfg, cap)
+    check_qubit_cap(cfg, cap, "classical")
     protocol = as_protocol(protocol)
     threshold = reporting_cutoff(cfg, cutoff)
     if step is None and protocol.pulses:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .exceptions import ConfigError
@@ -64,9 +64,6 @@ class Protocol:
     def target_state(self) -> int | None:
         return self.path[-1] if self.path else None
 
-    def with_pulses(self, pulses: tuple[Pulse, ...]) -> "Protocol":
-        return replace(self, pulses=pulses)
-
     def to_dict(self) -> dict:
         return {
             "version": PROTOCOL_FORMAT_VERSION,
@@ -94,11 +91,17 @@ class Protocol:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown protocol keys: {sorted(unknown)}")
+        try:
+            entries = [dict(entry) for entry in data["pulses"]]
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError("protocol needs 'pulses', a list of pulse objects")
         # Older files carry each pulse's drive phase, which must be zero.
-        entries = [dict(entry) for entry in data["pulses"]]
         if any(entry.pop("phase", 0.0) != 0.0 for entry in entries):
             raise ConfigError("non-zero pulse phase is not modelled by any engine")
-        pulses = tuple(Pulse(**entry) for entry in entries)
+        try:
+            pulses = tuple(Pulse(**entry) for entry in entries)
+        except TypeError as exc:  # a missing or unknown key, or a wrong value type
+            raise ConfigError(f"bad pulse entry: {exc}")
         return cls(
             pulses=pulses,
             gate=data.get("gate", ""),

@@ -468,6 +468,8 @@ def accumulated_reference_phase(report: RunReport) -> float:
     proto = Protocol.from_dict(report.protocol)
     if len(report.trace) != len(proto.pulses) + 1:
         raise ValueError("trace length does not match protocol length")
+    if len(proto.detunings) != len(proto.pulses):
+        raise ValueError("phase accumulation needs one detuning per pulse")
     total = 0.0
     prev = report.trace[0].reference_amplitude
     if prev is None or abs(prev) == 0.0:

@@ -65,14 +65,6 @@ class SparseState:
     def from_basis(cls, state: int) -> "SparseState":
         return cls(amps={state: 1.0 + 0.0j})
 
-    def norm(self) -> float:
-        return math.fsum(c.real * c.real + c.imag * c.imag for c in self.amps.values())
-
-
-def norm_deficit(state: SparseState) -> float:
-    """1 - sum |C_p|^2; equals the leaked ledger up to rounding."""
-    return 1.0 - state.norm()
-
 
 def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseState:
     """Propagate every tracked amplitude through one pulse (no pruning)."""

@@ -249,15 +249,8 @@ class TestCriterion6TwoLevelEquivalence:
 
 
 class TestCriterion7ClassicalEquivalence:
-    def test_oscillators_match_exact_over_cn_protocol(self):
-        cfg = sp.ChainConfig(n_qubits=3, larmor_spacing=10.0, base_larmor=15.0)
-        proto = sp.build_cn_protocol(cfg, rabi=0.5, equal_epsilon=True)
-        rep_c = sp.run_protocol_classical(
-            SparseState.from_basis(0), proto, cfg, cutoff=1e-300, norm_tol=1e-9
-        )
-        rep_e = sp.run_protocol_exact(
-            SparseState.from_basis(0), proto, cfg, cutoff=1e-300
-        )
+    def test_oscillators_match_exact_over_cn_protocol(self, cn3_dense_reports):
+        _, rep_c, rep_e = cn3_dense_reports
         worst = max(
             abs(rep_c.probability(s) - rep_e.probability(s)) for s in range(8)
         )

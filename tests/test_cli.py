@@ -169,6 +169,60 @@ class TestSimulate:
         assert "far-detuned leakage not modelled" in capsys.readouterr().out
 
 
+def _sweep_config(tmp_path, spacings):
+    doc = base_config(n=10)
+    doc["sweep"] = {"spacings": spacings, "rabis": [0.19, 0.21], "threshold": 1e-4}
+    return "sweep", write_config(tmp_path, doc)
+
+
+def _protocol_file_config(tmp_path, edit):
+    chain = sp.ChainConfig(n_qubits=5, larmor_spacing=100.0)
+    doc = sp.build_cn_protocol(chain, rabi=0.3).to_dict()
+    edit(doc)
+    (tmp_path / "protocol.json").write_text(json.dumps(doc))
+    return "simulate", write_config(tmp_path, {
+        "version": 1,
+        "chain": {"n_qubits": 5, "larmor_spacing": 100.0},
+        "protocol_file": "protocol.json",
+    })
+
+
+# case -> (writes the inputs and returns (command, config path), word in message)
+MALFORMED = {
+    "axis-without-stop": (
+        lambda p: _sweep_config(p, {"start": 100.0, "points": 3}), "stop"
+    ),
+    "log-axis-from-negative-start": (
+        lambda p: _sweep_config(
+            p, {"start": -100.0, "stop": 1000.0, "points": 3, "scale": "log"}
+        ),
+        "log",
+    ),
+    "protocol-without-pulses": (
+        lambda p: _protocol_file_config(p, lambda d: d.pop("pulses")), "pulses"
+    ),
+    "pulses-not-a-list": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(pulses=5)), "pulses"
+    ),
+    "unknown-pulse-key": (
+        lambda p: _protocol_file_config(p, lambda d: d["pulses"][1].update(rabbi=0.3)),
+        "rabbi",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
+    make, word = MALFORMED[case]
+    command, cfg_path = make(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert word in err["error"]["message"]
+    assert not out.exists()
+
+
 class TestSimulateExactAndClassical:
     def test_exact_small_chain(self, tmp_path):
         doc = {
@@ -204,6 +258,27 @@ class TestSimulateExactAndClassical:
         # transfer is complete up to non-resonant leakage, which is sizable
         # at this deliberately small spacing
         assert report.probability(2) == pytest.approx(1.0, abs=0.02)
+
+    def test_classical_engine_honours_max_qubits(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "chain": {"n_qubits": 3, "larmor_spacing": 10.0, "base_larmor": 15.0},
+            "gate": {"type": "cn", "rabi": 0.5},
+            "engine": {"max_qubits": 2},
+        }
+        out = tmp_path / "out"
+        argv = ["classical", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "QubitCapError"
+        assert "classical" in err["error"]["message"]
+        assert not out.exists()
+        # without max_qubits the classical default of 8 applies
+        doc["chain"]["n_qubits"] = 9
+        del doc["engine"]
+        write_config(tmp_path, doc)
+        assert main(argv) == 3
+        assert "cap 8" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 class TestDesign:

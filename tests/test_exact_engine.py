@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
+from spinpulse.error_model import _block_modes
 from spinpulse.exact_engine import diagonalize, rotating_diagonal
 from spinpulse.sparse_engine import SparseState
 
@@ -34,14 +35,14 @@ class TestRotatingHamiltonian:
         pulse = sp.Pulse(frequency=97.0, rabi=0.4, duration=1.0)
         ham = sp.build_rotating_hamiltonian(pulse, cfg)
         expected = np.array([[-(100.0 - 97.0) / 2, -0.2], [-0.2, (100.0 - 97.0) / 2]])
-        assert np.allclose(ham.matrix, expected, atol=1e-12)
+        assert np.allclose(ham, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_row_has_n_offdiagonals(self, n):
         cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=10.0)
         pulse = sp.Pulse(frequency=cfg.omega(0), rabi=0.4, duration=1.0)
         ham = sp.build_rotating_hamiltonian(pulse, cfg)
-        off = ham.matrix - np.diag(np.diag(ham.matrix))
+        off = ham - np.diag(np.diag(ham))
         assert (np.count_nonzero(off, axis=1) == n).all()
         assert np.allclose(off[off != 0], -0.2)
 
@@ -49,7 +50,7 @@ class TestRotatingHamiltonian:
         cfg = sp.ChainConfig(n_qubits=5, larmor_spacing=13.0)
         pulse = sp.Pulse(frequency=cfg.omega(2) + 2.0, rabi=0.37, duration=1.0)
         ham = sp.build_rotating_hamiltonian(pulse, cfg)
-        assert np.array_equal(ham.matrix, ham.matrix.T)
+        assert np.array_equal(ham, ham.T)
 
     def test_resonant_subblock_matches_two_level_block(self):
         cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=50.0)
@@ -58,7 +59,7 @@ class TestRotatingHamiltonian:
         pulse = sp.Pulse(frequency=nu, rabi=0.3, duration=1.0)
         ham = sp.build_rotating_hamiltonian(pulse, cfg)
         partner = state ^ (1 << 2)
-        sub = ham.matrix[np.ix_([state, partner], [state, partner])]
+        sub = ham[np.ix_([state, partner], [state, partner])]
         assert sub[0, 1] == pytest.approx(-0.15)
         assert sub[1, 0] == pytest.approx(-0.15)
         # diagonal difference is the pair detuning (zero here)
@@ -86,11 +87,11 @@ class TestEigenSystem:
         pulse = sp.Pulse(frequency=cfg.omega(3), rabi=0.4, duration=1.0)
         ham = sp.build_rotating_hamiltonian(pulse, cfg)
         eig = diagonalize(ham)
-        scale = np.linalg.norm(ham.matrix)
-        residual = ham.matrix @ eig.vectors - eig.vectors * eig.values
+        scale = np.linalg.norm(ham)
+        residual = ham @ eig.vectors - eig.vectors * eig.values
         assert np.max(np.abs(residual)) <= 1e-10 * scale
         gram = eig.vectors.T @ eig.vectors
-        assert np.max(np.abs(gram - np.eye(ham.dimension))) <= 1e-10
+        assert np.max(np.abs(gram - np.eye(ham.shape[0]))) <= 1e-10
 
 
 class TestEvolvePulseExact:
@@ -100,7 +101,8 @@ class TestEvolvePulseExact:
         rng = np.random.default_rng(5)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        out = sp.evolve_pulse_exact(amps, pulse, cfg, tau=0.0)
+        eig = diagonalize(sp.build_rotating_hamiltonian(pulse, cfg))
+        out = sp.evolve_pulse_exact(amps, eig, 0.0)
         assert np.allclose(out, amps, atol=1e-12)
 
     def test_norm_preserved(self):
@@ -109,7 +111,8 @@ class TestEvolvePulseExact:
         rng = np.random.default_rng(6)
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         amps /= np.linalg.norm(amps)
-        out = sp.evolve_pulse_exact(amps, pulse, cfg)
+        eig = diagonalize(sp.build_rotating_hamiltonian(pulse, cfg))
+        out = sp.evolve_pulse_exact(amps, eig, pulse.duration)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_resonant_pi_transfers_population(self):
@@ -187,13 +190,17 @@ class TestTwoLevelEquivalence:
 
 
 class TestTwoLevelBlock:
+    # error_model._block_modes: (spin, members, levels, modes), each mode an
+    # (eigenvalue, components along members) pair, lower eigenvalue first
     CFG = sp.ChainConfig(n_qubits=5, larmor_spacing=60.0)
 
     def test_resonant_block_mixes_evenly(self):
         state = sp.state_from_string("10000")
         nu = sp.transition_frequency(state, 3, self.CFG)
         pulse = sp.Pulse(frequency=nu, rabi=0.2, duration=1.0)
-        e_low, e_high, v_low, v_high = sp.two_level_block(state, pulse, self.CFG)
+        _, _, _, ((e_low, v_low), (e_high, v_high)) = _block_modes(
+            state, 0.0, pulse, self.CFG
+        )
         assert np.allclose(np.abs(v_low), [1 / math.sqrt(2)] * 2, atol=1e-9)
         assert np.allclose(np.abs(v_high), [1 / math.sqrt(2)] * 2, atol=1e-9)
         assert e_high - e_low == pytest.approx(0.2, rel=1e-9)
@@ -202,25 +209,35 @@ class TestTwoLevelBlock:
         rabi = 0.01
         nu = self.CFG.omega(2)  # ground-state detuning 2J
         pulse = sp.Pulse(frequency=nu, rabi=rabi, duration=1.0)
-        _, _, v_low, _ = sp.two_level_block(0, pulse, self.CFG)
+        _, _, _, ((_, v_low), _) = _block_modes(0, 0.0, pulse, self.CFG)
         assert v_low[1] == pytest.approx(rabi / 4.0, rel=1e-3)
         assert v_low[0] == pytest.approx(1.0 - rabi**2 / 32.0, rel=1e-6)
 
     def test_splitting_is_generalized_rabi(self):
         pulse = sp.Pulse(frequency=self.CFG.omega(2), rabi=0.3, duration=1.0)
-        e_low, e_high, _, _ = sp.two_level_block(0, pulse, self.CFG)
+        _, _, _, ((e_low, _), (e_high, _)) = _block_modes(0, 0.0, pulse, self.CFG)
         assert e_high - e_low == pytest.approx(math.hypot(0.3, 2.0), rel=1e-12)
 
-    def test_rejects_non_resonant_state(self):
+    def test_non_resonant_state_is_its_own_block(self):
         pulse = sp.Pulse(frequency=self.CFG.omega(2) + 30.0, rabi=0.3, duration=1.0)
-        with pytest.raises(ValueError):
-            sp.two_level_block(0, pulse, self.CFG)
+        assert _block_modes(0, 1.5, pulse, self.CFG) == (
+            None, (0,), (1.5,), ((1.5, (1.0,)),)
+        )
 
-    def test_rejects_upper_level(self):
-        state = sp.state_from_string("00100")
-        pulse = sp.Pulse(frequency=self.CFG.omega(2) + 2.0, rabi=0.3, duration=1.0)
-        with pytest.raises(ValueError):
-            sp.two_level_block(state, pulse, self.CFG)
+    def test_upper_level_has_same_block_with_members_swapped(self):
+        upper = sp.state_from_string("00100")
+        pulse = sp.Pulse(frequency=self.CFG.omega(2) + 1.5, rabi=0.3, duration=1.0)
+        spin, members, levels, modes = _block_modes(0, 0.0, pulse, self.CFG)
+        spin_u, members_u, levels_u, modes_u = _block_modes(
+            upper, levels[1], pulse, self.CFG
+        )
+        assert (spin_u, members_u) == (spin, members[::-1])
+        assert levels_u == pytest.approx(levels[::-1], abs=1e-12)
+        assert modes[1][0] - modes[0][0] == pytest.approx(math.hypot(0.3, 0.5), rel=1e-12)
+        for (e, vec), (e_u, vec_u) in zip(modes, modes_u):
+            assert e_u == pytest.approx(e, abs=1e-12)
+            # the same eigenvector up to sign
+            assert abs(np.dot(vec_u[::-1], vec)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFirstOrderLeakage:

@@ -61,17 +61,10 @@ class TestAmplitudeMapping:
         report = sp.run_protocol_classical(c, [], cfg, cutoff=1e-300)
         assert report.stored_norm() + report.leaked == pytest.approx(1.0, abs=1e-14)
 
-    def test_lab_frame_amplitudes_match_exact_times_free_phase(self):
+    def test_lab_frame_amplitudes_match_exact_times_free_phase(self, cn3_dense_reports):
         # c = x + i p carries laboratory-frame amplitudes: C_p * exp(-i E_p T)
         # with C_p the exact engine's interaction-picture amplitudes
-        cfg = sp.ChainConfig(n_qubits=3, larmor_spacing=10.0, base_larmor=15.0)
-        proto = sp.build_cn_protocol(cfg, rabi=0.5)
-        rep_c = sp.run_protocol_classical(
-            SparseState.from_basis(0), proto, cfg, cutoff=1e-300
-        )
-        rep_e = sp.run_protocol_exact(
-            SparseState.from_basis(0), proto, cfg, cutoff=1e-300
-        )
+        cfg, rep_c, rep_e = cn3_dense_reports
         energies = h0_energies(cfg)
         assert set(rep_c.final_amps) == set(rep_e.final_amps) == set(range(8))
         worst = max(

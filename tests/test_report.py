@@ -273,6 +273,16 @@ class TestPhaseReport:
         with pytest.raises(ValueError):
             sp.phase_report(report, report)
 
+    def test_protocol_without_detunings_rejected(self):
+        # the phase guide needs each pulse's detuning; without them the run
+        # must not read as zero phase
+        proto = sp.build_cn_protocol(CFG, rabi=0.2, equal_epsilon=False)
+        report = sp.run_protocol(
+            SparseState.from_basis(0), sp.Protocol(pulses=proto.pulses), CFG, trace=True
+        )
+        with pytest.raises(ValueError, match="one detuning per pulse"):
+            sp.phase_report(report, report)
+
 
 ENGINES = [sp.run_protocol, sp.run_protocol_exact, sp.run_protocol_classical]
 DENSE_ENGINES = [sp.run_protocol_exact, sp.run_protocol_classical]
