@@ -26,13 +26,16 @@ Instead of "gate" a config may name an existing pulse file via
 "protocol_file".  The cutoff is interpreted in the reporting convention:
 with doubled probabilities the stored pruning threshold is cutoff/2.
 "engine.max_qubits" caps both dense engines: it defaults to 14 for the
-exact engine and to 8 for the classical one.
+exact engine and to 8 for the classical one.  It must be a positive
+integer, and "engine.step" (null for the default) and "engine.norm_tol"
+positive finite numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -145,7 +148,10 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path) -> Proto
 
 def _axis_values(axis) -> list[float]:
     if isinstance(axis, list):
-        return [float(v) for v in axis]
+        try:
+            return [float(v) for v in axis]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"axis values must be numbers: {exc}")
     if isinstance(axis, dict):
         extra = set(axis) - {"start", "stop", "points", "scale"}
         if extra:
@@ -153,8 +159,11 @@ def _axis_values(axis) -> list[float]:
         missing = {"start", "stop", "points"} - set(axis)
         if missing:
             raise ConfigError(f"axis needs {sorted(missing)}")
-        start, stop = float(axis["start"]), float(axis["stop"])
-        points = int(axis["points"])
+        try:
+            start, stop = float(axis["start"]), float(axis["stop"])
+            points = int(axis["points"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"axis start, stop and points must be numbers: {exc}")
         if points < 2:
             raise ConfigError("axis needs at least 2 points")
         if axis.get("scale", "linear") == "log":
@@ -165,6 +174,21 @@ def _axis_values(axis) -> list[float]:
         step = (stop - start) / (points - 1)
         return [start + step * i for i in range(points)]
     raise ConfigError("axis must be a list or a range object")
+
+
+def _engine_number(engine_opts: dict, key: str, default, *, integer: bool = False):
+    """``engine.<key>`` or its default, checked to be a positive integer or finite number.
+
+    An option whose default is None may be left unset or null.
+    """
+    value = engine_opts.get(key, default)
+    if value is None and default is None:
+        return None
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < math.inf:
+        kind = "a positive integer" if integer else "a positive finite number"
+        raise ConfigError(f"engine.{key} must be {kind}, got {value!r}")
+    return value
 
 
 def _run_engine(
@@ -186,14 +210,14 @@ def _run_engine(
     if engine == "exact":
         return run_protocol_exact(
             initial, protocol, cfg, **run,
-            cap=engine_opts.get("max_qubits", DEFAULT_QUBIT_CAP),
+            cap=_engine_number(engine_opts, "max_qubits", DEFAULT_QUBIT_CAP, integer=True),
         )
     if engine == "classical":
         return run_protocol_classical(
             initial, protocol, cfg, **run,
-            cap=engine_opts.get("max_qubits", CLASSICAL_QUBIT_CAP),
-            step=engine_opts.get("step"),
-            norm_tol=engine_opts.get("norm_tol", 1e-9),
+            cap=_engine_number(engine_opts, "max_qubits", CLASSICAL_QUBIT_CAP, integer=True),
+            step=_engine_number(engine_opts, "step", None),
+            norm_tol=_engine_number(engine_opts, "norm_tol", 1e-9),
         )
     raise ConfigError(f"unknown engine {engine!r}")
 
@@ -324,7 +348,9 @@ def cmd_compare(args) -> int:
         report = run_protocol_exact(
             SparseState.from_basis(0), protocol, cfg_i,
             cutoff=1e-300,
-            cap=doc.get("engine", {}).get("max_qubits", DEFAULT_QUBIT_CAP),
+            cap=_engine_number(
+                doc.get("engine", {}), "max_qubits", DEFAULT_QUBIT_CAP, integer=True
+            ),
         )
         ground = protocol.initial_state
         target = protocol.target_state

@@ -6,7 +6,7 @@ from spinpulse.sparse_engine import SparseState
 
 @pytest.fixture(scope="session")
 def cn3_dense_reports():
-    """Criterion-7 run, shared because the classical engine takes ~10 s on it.
+    """Criterion-7 run, shared so that its two tests run it once (~0.8 s).
 
     The N=3, rabi 0.5 equal-eps CN protocol through the classical engine
     (norm_tol 1e-9) and the exact engine, both at cutoff 1e-300.  Returns

@@ -208,6 +208,12 @@ MALFORMED = {
         lambda p: _protocol_file_config(p, lambda d: d["pulses"][1].update(rabbi=0.3)),
         "rabbi",
     ),
+    "non-numeric-axis-start": (
+        lambda p: _sweep_config(p, {"start": "a", "stop": 2, "points": 3}), "number"
+    ),
+    "non-numeric-axis-list-value": (
+        lambda p: _sweep_config(p, [100.0, "a"]), "number"
+    ),
 }
 
 
@@ -220,6 +226,36 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, case):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ConfigError"
     assert word in err["error"]["message"]
+    assert not out.exists()
+
+
+# case -> (command, engine section, key named in the message)
+BAD_ENGINE_OPTIONS = {
+    "step-zero": ("classical", {"step": 0}, "step"),
+    "step-negative": ("classical", {"step": -0.01}, "step"),
+    "step-not-a-number": ("classical", {"step": "abc"}, "step"),
+    "norm-tol-zero": ("classical", {"norm_tol": 0}, "norm_tol"),
+    "classical-max-qubits-not-an-int": ("classical", {"max_qubits": "x"}, "max_qubits"),
+    "exact-max-qubits-not-an-int": ("simulate-exact", {"max_qubits": "x"}, "max_qubits"),
+    "exact-max-qubits-zero": ("simulate-exact", {"max_qubits": 0}, "max_qubits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENGINE_OPTIONS))
+def test_malformed_engine_option_is_a_config_error(tmp_path, capsys, case):
+    command, engine, key = BAD_ENGINE_OPTIONS[case]
+    doc = {
+        "version": 1,
+        "chain": {"n_qubits": 3, "larmor_spacing": 10.0, "base_larmor": 15.0},
+        "gate": {"type": "cn", "rabi": 0.5, "equal_epsilon": True},
+        "engine": engine,
+    }
+    out = tmp_path / "out"
+    argv = [command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert f"engine.{key}" in err["error"]["message"]
     assert not out.exists()
 
 

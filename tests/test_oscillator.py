@@ -2,11 +2,50 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
+from spinpulse import oscillator
 from spinpulse.exact_engine import h0_energies
-from spinpulse.oscillator import _coupling_matrices, _integrate_pulse, _stage_matrices
+from spinpulse.oscillator import (
+    _coupling_matrices, _integrate_pulse, _stage_matrices, _step_coefficients,
+    _step_increments, default_step,
+)
 from spinpulse.sparse_engine import SparseState
+
+
+def _rk4_reference(y, w, freq, t_start, duration, step):
+    """The stage-by-stage classic RK4 loop the step-matrix integrator replaced."""
+    n_steps = max(1, math.ceil(duration / step))
+    h = duration / n_steps
+    w0, w1, w2 = w
+
+    def deriv(ti, yi):
+        a = freq * ti
+        return w0 @ yi + math.cos(a) * (w1 @ yi) + math.sin(a) * (w2 @ yi)
+
+    t = t_start
+    for _ in range(n_steps):
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
+
+
+def _reference_run(c0, pulses, cfg, norm_tol):
+    """Final amplitudes of the reference loop over ``pulses`` at the default step."""
+    step = default_step(cfg, sp.Protocol(pulses=tuple(pulses)), norm_tol)
+    energies = h0_energies(cfg)
+    s_mat, k_mat = _coupling_matrices(cfg)
+    y, t = np.concatenate([c0.real, c0.imag]), 0.0
+    for p in pulses:
+        w = _stage_matrices(energies, s_mat, k_mat, p.rabi)
+        y = _rk4_reference(y, w, p.frequency, t, p.duration, step)
+        t += p.duration
+    return y[: c0.size] + 1j * y[c0.size :]
 
 
 def _one_spin_pulse_pair(c0: np.ndarray) -> tuple[dict, dict]:
@@ -93,6 +132,77 @@ class TestFreeEvolution:
         assert np.sum(y * y) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestStepMatrix:
+    @given(
+        n=st.integers(4, 5),
+        rabi=st.floats(0.5, 2.0),
+        freq=st.floats(1.0, 60.0),
+        angle=st.floats(0.0, 100.0),
+        h=st.floats(0.05, 0.3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fourier_coefficients_give_the_direct_step_matrix(self, n, rabi, freq, angle, h):
+        # the 9 coefficient matrices rebuild the one-step matrix I + D at any angle;
+        # the reference loop applied to the identity assembles it directly.
+        # Harmonic m needs m spins raised in one step, so N >= 4 and a drive
+        # and step large enough that (h rabi / 2)^4 stands well above 1e-12
+        # make every harmonic count.
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=5.0, base_larmor=8.0)
+        w = _stage_matrices(h0_energies(cfg), *_coupling_matrices(cfg), rabi)
+        t = angle / freq
+        eye = np.eye(w.shape[1])
+        got = eye + _step_increments(_step_coefficients(w, freq, h), np.array([freq * t]))[0]
+        direct = _rk4_reference(eye, w, freq, t, h, h)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize(
+        "duration, step", [(0.3, 1.0), (1.0, 0.25), (1.0, 0.3), (2.0, 0.001)]
+    )
+    def test_steps_per_pulse(self, monkeypatch, duration, step):
+        # max(1, ceil(duration / step)) steps, starting at t_start + i h; at
+        # N=6 a chunk holds 64 increment matrices, so 2000 steps span 32 chunks
+        angles = []
+        real = oscillator._step_increments
+
+        def spy(coeffs, chunk_angles):
+            angles.append(chunk_angles)
+            return real(coeffs, chunk_angles)
+
+        monkeypatch.setattr(oscillator, "_step_increments", spy)
+        cfg = sp.ChainConfig(n_qubits=6, larmor_spacing=5.0, base_larmor=8.0)
+        w = _stage_matrices(h0_energies(cfg), *_coupling_matrices(cfg), rabi=0.5)
+        y = np.eye(128)[0]
+        t_start, freq = 1.7, 9.0
+        _integrate_pulse(y, w, freq, t_start, duration, step)
+        n_steps = max(1, math.ceil(duration / step))
+        h = duration / n_steps
+        np.testing.assert_array_equal(
+            np.concatenate(angles), freq * (t_start + np.arange(n_steps) * h)
+        )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_run_matches_reference_loop(self, n):
+        # Tolerance fixed before measuring: both integrate with the same scheme
+        # and step, but the reference advances t by repeated += h, which moves
+        # its drive angles by about n_steps * eps * nu * t.
+        tol = 1e-9
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=10.0, base_larmor=15.0)
+        if n == 2:
+            pulses = [
+                sp.Pulse(frequency=cfg.omega(0), rabi=0.5, duration=2.0),
+                sp.Pulse(frequency=cfg.omega(1), rabi=0.3, duration=3.3),
+            ]
+        else:
+            pulses = list(sp.build_cn_protocol(cfg, rabi=0.5).pulses[:2])
+        rng = np.random.default_rng(15 + n)
+        c0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        c0 /= np.linalg.norm(c0)
+        report = sp.run_protocol_classical(c0, pulses, cfg, cutoff=1e-300, norm_tol=1e-6)
+        got = np.array([report.final_amps[s] for s in range(1 << n)])
+        expected = _reference_run(c0, pulses, cfg, norm_tol=1e-6)
+        assert np.max(np.abs(got - expected)) < tol
+
+
 class TestIntegrate:
     def test_two_spin_resonant_pulse_matches_exact(self):
         cfg = sp.ChainConfig(n_qubits=2, larmor_spacing=5.0, base_larmor=8.0)
@@ -159,6 +269,17 @@ class TestIntegrate:
             sp.run_protocol_classical(
                 np.eye(4, dtype=complex)[0], proto, cfg, step=0.1
             )
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"step": 0.0}, {"step": -0.01}, {"step": math.inf}, {"norm_tol": 0.0},
+         {"norm_tol": math.nan}, {"step": "abc"}],
+    )
+    def test_step_and_norm_tol_must_be_positive_finite(self, options):
+        cfg = sp.ChainConfig(n_qubits=2, larmor_spacing=5.0, base_larmor=8.0)
+        proto = sp.Protocol(pulses=(sp.Pulse(frequency=cfg.omega(0), rabi=0.5, duration=1.0),))
+        with pytest.raises(ValueError, match=next(iter(options))):
+            sp.run_protocol_classical(np.eye(4, dtype=complex)[0], proto, cfg, **options)
 
     def test_qubit_cap(self):
         cfg = sp.ChainConfig(n_qubits=9, larmor_spacing=10.0)
