@@ -25,6 +25,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import AmbiguousTransitionError
 
 # |detuning| < RESONANCE_TOL * J counts as exactly resonant; frequencies are
@@ -113,18 +115,30 @@ def flip_count(state: int) -> int:
 
 def basis_energy(state: int, cfg: ChainConfig) -> float:
     """Diagonal energy of a basis state under the static chain Hamiltonian."""
+    return basis_energies([state], cfg)[0]
+
+
+def basis_energies(states: list[int], cfg: ChainConfig) -> list[float]:
+    """``basis_energy`` of each state.  The Zeeman sum runs over spins 0..N-1
+    in order, one column of all states at a time: the same additions as for
+    one state, in O(states) memory."""
     n = cfg.n_qubits
-    if not 0 <= state < (1 << n):
-        raise ValueError(f"state {state} does not fit in {n} bits")
+    dim = 1 << n
+    for state in states:
+        if not 0 <= state < dim:
+            raise ValueError(f"state {state} does not fit in {n} bits")
     base, spacing = cfg.base_larmor, cfg.larmor_spacing
-    zeeman = 0.0
-    for k, bit in enumerate(reversed(format(state, f"0{n}b"))):
-        w = base + k * spacing
-        zeeman += -w if bit == "1" else w
+    zeeman = np.zeros(len(states))
+    for lo in range(0, n, 64):
+        word = np.array([(s >> lo) & 0xFFFF_FFFF_FFFF_FFFF for s in states], np.uint64)
+        for k in range(lo, min(lo + 64, n)):
+            w = base + k * spacing
+            zeeman += np.where((word >> np.uint64(k - lo)) & np.uint64(1), -w, w)
     # Each unlike neighbour pair is a -1 bond, each like pair a +1 bond.
-    unlike = ((state ^ (state >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
+    pairs = (1 << (n - 1)) - 1
+    unlike = np.array([((s ^ (s >> 1)) & pairs).bit_count() for s in states], np.int64)
     bonds = (n - 1) - 2 * unlike
-    return -0.5 * zeeman - 0.5 * cfg.coupling * bonds
+    return (-0.5 * zeeman - 0.5 * cfg.coupling * bonds).tolist()
 
 
 def flip_energy(state: int, k: int, cfg: ChainConfig) -> float:

@@ -120,6 +120,8 @@ def dense_amplitudes(
     if isinstance(initial, dict):
         c = np.zeros(dim, dtype=np.complex128)
         for s, amp in initial.items():
+            if not 0 <= s < dim:
+                raise ValueError(f"state {s} does not fit in {dim.bit_length() - 1} bits")
             c[s] = amp
         return c
     c = np.asarray(initial, dtype=np.complex128).copy()

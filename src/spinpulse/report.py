@@ -16,11 +16,13 @@ import hashlib
 import io
 import json
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .chain import ChainConfig, basis_energy, flip_count, state_to_string
+from .chain import ChainConfig, basis_energies, basis_energy, flip_count, state_to_string
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
 from .pulses import Protocol, Pulse
@@ -65,7 +67,7 @@ class RunReport:
     final_amps: dict[int, complex]
     leaked: float
     time: float
-    generation: dict[int, int]
+    generation: Mapping[int, int]
     doubled: bool = False
     prune_cutoff: float | None = None
     seed: int | None = None
@@ -102,10 +104,10 @@ class RunReport:
         generation order (ties broken by ascending basis index)."""
         wanted = self.wanted_states
         n = self.chain.n_qubits
+        kept = [(s, c) for s, c in self.final_amps.items() if s not in wanted]
+        energies = basis_energies([s for s, _ in kept], self.chain)
         records = []
-        for s, c in self.final_amps.items():
-            if s in wanted:
-                continue
+        for (s, c), energy in zip(kept, energies):
             records.append(
                 UnwantedRecord(
                     state=s,
@@ -113,7 +115,7 @@ class RunReport:
                     probability=self.convention_factor
                     * (c.real * c.real + c.imag * c.imag),
                     generation=self.generation.get(s, -1),
-                    energy=basis_energy(s, self.chain),
+                    energy=energy,
                     flips=flip_count(s),
                 )
             )
@@ -252,6 +254,35 @@ def reporting_cutoff(cfg: ChainConfig, cutoff: float | None) -> float:
     return cfg.cutoff if cutoff is None else cutoff
 
 
+def _ledger_key(state: int) -> bytes:
+    return state.to_bytes((state.bit_length() + 7) // 8, "little")
+
+
+class Ledger(Mapping):
+    """Read-only first-crossing ledger: basis state -> pulse index.
+
+    Entries are stored under each state's little-endian bytes, because
+    CPython hashes an int modulo 2^61 - 1: the basis states 2^k and
+    2^(k+61) of a long chain collide as int keys, but not as bytes.
+    Iteration decodes the states in insertion order.
+    """
+
+    def __init__(self, pulses: dict[bytes, int]):
+        self._pulses = pulses
+
+    def __getitem__(self, state: int) -> int:
+        try:
+            return self._pulses[_ledger_key(operator.index(state))]
+        except (TypeError, OverflowError, KeyError):
+            raise KeyError(state) from None
+
+    def __iter__(self):
+        return (int.from_bytes(key, "little") for key in self._pulses)
+
+    def __len__(self) -> int:
+        return len(self._pulses)
+
+
 State = TypeVar("State")
 View = tuple[dict[int, complex], float, float]  # (amps, leaked, time)
 
@@ -262,7 +293,7 @@ def run_pulses(
     step: Callable[[State, Pulse], State],
     view: Callable[[State], View],
     trace: bool,
-) -> tuple[State, View, dict[int, int], list[TraceEntry] | None]:
+) -> tuple[State, View, Ledger, list[TraceEntry] | None]:
     """The run loop of every engine: apply each pulse, then look at the state.
 
     ``step(state, pulse)`` advances an engine's state through one pulse and
@@ -274,17 +305,19 @@ def run_pulses(
     """
     ref = protocol.initial_state if protocol.initial_state is not None else 0
     shown = view(state)
-    generation = dict.fromkeys(shown[0], 0)
+    pulses = dict.fromkeys(map(_ledger_key, shown[0]), 0)
     rows = [_trace_entry(0, shown, ref)] if trace else None
     for idx, pulse in enumerate(protocol.pulses, start=1):
         state = step(state, pulse)
         shown = view(state)
         for s in shown[0]:
-            if s not in generation:
-                generation[s] = idx
+            # _ledger_key, inlined: this loop sees every stored state of every pulse
+            key = s.to_bytes((s.bit_length() + 7) // 8, "little")
+            if key not in pulses:
+                pulses[key] = idx
         if rows is not None:
             rows.append(_trace_entry(idx, shown, ref))
-    return state, shown, generation, rows
+    return state, shown, Ledger(pulses), rows
 
 
 def _trace_entry(idx: int, shown: View, ref: int) -> TraceEntry:
@@ -304,7 +337,7 @@ def make_report(
     final_amps: dict[int, complex],
     leaked: float,
     time: float,
-    generation: dict[int, int],
+    generation: Mapping[int, int],
     *,
     trace: list[TraceEntry] | None = None,
     doubled: bool = False,

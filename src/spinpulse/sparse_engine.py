@@ -22,6 +22,11 @@ Amplitudes flowing into the same partner add coherently: a pulse couples
 each state to exactly one partner, so the only merge is the in-block one,
 and iterating states in ascending basis order makes runs bit-reproducible.
 
+A block depends on the pair's flip energy only.  With one spin k in the
+window, that is set by the neighbour bits k-1 and k+1, so each pulse computes
+at most four blocks, one per neighbourhood pattern, and applies each to every
+pair with that pattern using the same operations in the same order.
+
 Not modelled: far-detuned leakage.  Flips outside the near-resonant window
 are dropped, not propagated, and that channel is the dominant gate error at
 the 2*pi*k drive points: there this engine reports an unwanted probability
@@ -66,8 +71,29 @@ class SparseState:
         return cls(amps={state: 1.0 + 0.0j})
 
 
+def _block(e: float, nu: float, rabi: float, tau: float, t0: float, window: float):
+    """(diag, cross, ph_m, ph_x*, diag*, ph_m*, ph_x) of a pair whose flip
+    energy is +-e, * marking a conjugate; None outside the window."""
+    delta = abs(e) - nu
+    if abs(delta) > window:
+        return None
+    lam = math.hypot(rabi, delta)
+    half = 0.5 * lam * tau
+    cos_l = math.cos(half)
+    sin_l = math.sin(half)
+    diag = complex(cos_l, (delta / lam) * sin_l)
+    cross = 1j * (rabi / lam) * sin_l
+    ph_m = cmath.exp(-0.5j * delta * tau)
+    ph_x = cmath.exp(1j * delta * (t0 + 0.5 * tau))
+    return diag, cross, ph_m, ph_x.conjugate(), diag.conjugate(), ph_m.conjugate(), ph_x
+
+
 def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseState:
-    """Propagate every tracked amplitude through one pulse (no pruning)."""
+    """Propagate every tracked amplitude through one pulse (no pruning).
+
+    With several spins in the window, each state's nearest flip is looked up
+    and blocks are shared by flip energy.
+    """
     nu = pulse.frequency
     rabi = pulse.rabi
     tau = pulse.duration
@@ -75,49 +101,56 @@ def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseSta
     j = cfg.coupling
     window = NEAR_RESONANT_MAX_J * j + RESONANCE_TOL * j
 
-    spins = window_spins(nu, cfg)
-    single = spins[0] if len(spins) == 1 else None
-
     amps = state.amps
+    spins = window_spins(nu, cfg)
+    if not spins:
+        return SparseState({s: amps[s] for s in sorted(amps)}, state.leaked, t0 + tau)
+    single = len(spins) == 1
+    if single:
+        k = spins[0]
+        bit = 1 << k
+        lo = max(k - 1, 0)
+        neighbours = 7 & ~(bit >> lo)
+
     new_amps: dict[int, complex] = {}
-    seen: set[int] = set()
-
-    for s in sorted(amps):
-        if s in seen:
-            continue
-        if single is not None:
-            k = single
-            e = flip_energy(s, k, cfg)
-        elif not spins:
-            new_amps[s] = amps[s]
-            continue
+    blocks: dict = {}
+    for s, c in sorted(amps.items()):
+        if single:
+            # keyed by the pair's shared bits; e is the flip energy of the
+            # member whose spin k is 0, and its negative for the other one
+            pattern = (s >> lo) & neighbours
+            entry = blocks.get(pattern)
+            if entry is None:
+                e = flip_energy(pattern << lo, k, cfg)
+                entry = blocks[pattern] = e, _block(e, nu, rabi, tau, t0, window)
+            e, blk = entry
+            partner = s ^ bit
+            if partner < s:
+                e = -e
         else:
+            if s in new_amps:
+                continue  # written with its partner
             k, e = nearest_flip(s, nu, cfg)
-        delta = abs(e) - nu
-        if abs(delta) > window:
-            new_amps[s] = amps[s]
+            if abs(e) not in blocks:
+                blocks[abs(e)] = _block(e, nu, rabi, tau, t0, window)
+            blk = blocks[abs(e)]
+            partner = s ^ (1 << k)
+        if blk is None:
+            new_amps[s] = c
             continue
 
-        partner = s ^ (1 << k)
-        seen.add(partner)
+        c_x = amps.get(partner)
+        if c_x is None:
+            c_x = 0.0j
+        elif partner < s:
+            continue  # the pair was written when the partner came up
+        diag, cross, ph_m, ph_xc, diag_c, ph_mc, ph_x = blk
         if e > 0.0:
-            m, p = s, partner
+            m, p, c_m, c_p = s, partner, c, c_x
         else:
-            m, p = partner, s
-        c_m = amps.get(m, 0.0j)
-        c_p = amps.get(p, 0.0j)
-
-        lam = math.hypot(rabi, delta)
-        half = 0.5 * lam * tau
-        cos_l = math.cos(half)
-        sin_l = math.sin(half)
-        diag = complex(cos_l, (delta / lam) * sin_l)
-        cross = 1j * (rabi / lam) * sin_l
-        ph_m = cmath.exp(-0.5j * delta * tau)
-        ph_x = cmath.exp(1j * delta * (t0 + 0.5 * tau))
-
-        new_amps[m] = c_m * diag * ph_m + c_p * cross * ph_x.conjugate()
-        new_amps[p] = c_p * diag.conjugate() * ph_m.conjugate() + c_m * cross * ph_x
+            m, p, c_m, c_p = partner, s, c_x, c
+        new_amps[m] = c_m * diag * ph_m + c_p * cross * ph_xc
+        new_amps[p] = c_p * diag_c * ph_mc + c_m * cross * ph_x
 
     return SparseState(amps=new_amps, leaked=state.leaked, time=t0 + tau)
 
@@ -153,6 +186,9 @@ def run_protocol(
     divided by two.  The generation ledger records, for every state, the
     first pulse index after which it was stored above the cutoff.
     """
+    for s in initial.amps:
+        if not 0 <= s < cfg.dimension:
+            raise ValueError(f"state {s} does not fit in {cfg.n_qubits} bits")
     protocol = as_protocol(protocol)
     threshold = reporting_cutoff(cfg, cutoff)
     _, (amps, leaked, time), generation, rows = run_pulses(

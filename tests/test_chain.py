@@ -2,9 +2,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse.chain import NEAR_RESONANT_MAX_J, RESONANCE_TOL, nearest_flip
+from spinpulse.chain import NEAR_RESONANT_MAX_J, RESONANCE_TOL, basis_energies, nearest_flip
 
 CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=10.0, base_larmor=100.0)
+
+
+def two_loop_energy(state, cfg):
+    zeeman = 0.0
+    for k in range(cfg.n_qubits):
+        s = 1 - 2 * ((state >> k) & 1)
+        zeeman += cfg.omega(k) * s
+    bonds = 0
+    for k in range(cfg.n_qubits - 1):
+        bonds += 1 if ((state >> k) & 1) == ((state >> (k + 1)) & 1) else -1
+    return -0.5 * zeeman - 0.5 * cfg.coupling * bonds
 
 
 class TestBasisEnergy:
@@ -39,15 +50,37 @@ class TestBasisEnergy:
         cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=spacing, base_larmor=base,
                              coupling=coupling)
         state = data.draw(st.integers(0, (1 << n) - 1))
-        zeeman = 0.0
-        for k in range(n):
-            s = 1 - 2 * ((state >> k) & 1)
-            zeeman += cfg.omega(k) * s
-        bonds = 0
-        for k in range(n - 1):
-            bonds += 1 if ((state >> k) & 1) == ((state >> (k + 1)) & 1) else -1
-        reference = -0.5 * zeeman - 0.5 * cfg.coupling * bonds
+        reference = two_loop_energy(state, cfg)
         assert sp.basis_energy(state, cfg) == reference
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 300),
+        spacing=st.one_of(st.integers(1, 200).map(float), st.floats(0.01, 500.0)),
+        base=st.one_of(st.just(0.0), st.floats(0.0, 5000.0)),
+        coupling=st.sampled_from([0.7, 1.0, 2.35]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_bit_identical_to_two_loop_formula(self, data, n, spacing, base,
+                                                     coupling):
+        # repr also tells the signed zeros of base_larmor 0 apart
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=spacing, base_larmor=base,
+                             coupling=coupling)
+        states = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+        assert [repr(e) for e in basis_energies(states, cfg)] == [
+            repr(two_loop_energy(s, cfg)) for s in states
+        ]
+
+    def test_empty_zero_base_and_out_of_range_batches(self):
+        cfg = sp.ChainConfig(n_qubits=3, larmor_spacing=10.0)
+        assert basis_energies([], cfg) == []
+        zero = sp.ChainConfig(n_qubits=1, larmor_spacing=10.0, base_larmor=0.0)
+        assert [repr(e) for e in basis_energies([0, 1], zero)] == [
+            repr(two_loop_energy(s, zero)) for s in (0, 1)
+        ]
+        for bad in (8, -1):
+            with pytest.raises(ValueError, match=f"state {bad} does not fit in 3 bits"):
+                basis_energies([0, bad], cfg)
 
 
 class TestTransitionFrequency:

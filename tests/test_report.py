@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse.report import UnwantedRecord, accumulated_reference_phase, make_report
+from spinpulse.report import (
+    UnwantedRecord, accumulated_reference_phase, make_report, run_pulses,
+)
 from spinpulse.sparse_engine import SparseState
 
 CFG = sp.ChainConfig(n_qubits=6, larmor_spacing=100.0)
@@ -319,3 +321,56 @@ class TestSharedRunLoop:
         with pytest.raises(ValueError, match="initial vector must have length 4"):
             engine(np.ones(3, dtype=complex), self.two_pulses(), self.CFG2)
 
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("state", [-1, 5])
+    def test_initial_state_outside_the_chain_rejected(self, engine, state):
+        with pytest.raises(ValueError, match=f"state {state} does not fit in 2 bits"):
+            engine(SparseState.from_basis(state), self.two_pulses(), self.CFG2)
+
+
+class TestLedger:
+    # CPython hashes ints modulo 2^61 - 1, so 2^k and 2^(k+61) collide
+    VIEWS = [
+        [1 << 3, 0],
+        [1 << 64, 1 << 3, 1 << 125],
+        [1 << 2, 1 << 63, 0],
+        [1 << 186, (1 << 64) | 1, 1 << 2],
+    ]
+
+    def ledger(self):
+        views = self.VIEWS
+        proto = sp.Protocol(pulses=tuple(
+            sp.Pulse(frequency=1.0, rabi=1.0, duration=1.0) for _ in views[1:]
+        ))
+        _, _, ledger, _ = run_pulses(
+            0, proto, lambda i, pulse: i + 1,
+            lambda i: (dict.fromkeys(views[i], 1j), 0.0, float(i)), trace=False,
+        )
+        return ledger
+
+    def test_matches_int_keyed_loop(self):
+        assert hash(1 << 3) == hash(1 << 64) == hash(1 << 125) == hash(1 << 186)
+        reference = dict.fromkeys(self.VIEWS[0], 0)
+        for idx, view in enumerate(self.VIEWS[1:], start=1):
+            for s in view:
+                if s not in reference:
+                    reference[s] = idx
+        ledger = self.ledger()
+        assert list(ledger.items()) == list(reference.items())
+        assert list(ledger) == list(reference)
+        assert len(ledger) == len(reference) == 8
+        assert ledger == reference
+
+    def test_missing_negative_and_non_integer_keys(self):
+        ledger = self.ledger()
+        for key in (1 << 61, 3, -1, -(1 << 64), "8", 8.0):
+            assert key not in ledger
+            with pytest.raises(KeyError):
+                ledger[key]
+        assert ledger.get(-1, "absent") == "absent"
+        assert ledger[np.int64(8)] == 0
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            self.ledger()[8] = 1

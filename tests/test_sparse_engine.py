@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
+from spinpulse.chain import NEAR_RESONANT_MAX_J, RESONANCE_TOL, nearest_flip, window_spins
 from spinpulse.sparse_engine import SparseState, apply_pulse, prune
 
 CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=10.0, base_larmor=100.0)
@@ -19,6 +20,103 @@ def detuned_pulse(cfg, detuning, rabi, duration):
     """Pulse addressing spin N-1 of the ground state with a chosen detuning."""
     nu = sp.transition_frequency(0, cfg.n_qubits - 1, cfg) - detuning
     return sp.Pulse(frequency=nu, rabi=rabi, duration=duration)
+
+
+def reference_apply_pulse(state, pulse, cfg):
+    """The kernel as first written: one block computed per in-window state."""
+    nu, rabi, tau, t0 = pulse.frequency, pulse.rabi, pulse.duration, state.time
+    window = NEAR_RESONANT_MAX_J * cfg.coupling + RESONANCE_TOL * cfg.coupling
+    spins = window_spins(nu, cfg)
+    amps = state.amps
+    new_amps = {}
+    seen = set()
+    for s in sorted(amps):
+        if s in seen:
+            continue
+        if len(spins) == 1:
+            k = spins[0]
+            e = sp.flip_energy(s, k, cfg)
+        elif not spins:
+            new_amps[s] = amps[s]
+            continue
+        else:
+            k, e = nearest_flip(s, nu, cfg)
+        delta = abs(e) - nu
+        if abs(delta) > window:
+            new_amps[s] = amps[s]
+            continue
+        partner = s ^ (1 << k)
+        seen.add(partner)
+        m, p = (s, partner) if e > 0.0 else (partner, s)
+        c_m = amps.get(m, 0.0j)
+        c_p = amps.get(p, 0.0j)
+        lam = math.hypot(rabi, delta)
+        half = 0.5 * lam * tau
+        cos_l = math.cos(half)
+        sin_l = math.sin(half)
+        diag = complex(cos_l, (delta / lam) * sin_l)
+        cross = 1j * (rabi / lam) * sin_l
+        ph_m = cmath.exp(-0.5j * delta * tau)
+        ph_x = cmath.exp(1j * delta * (t0 + 0.5 * tau))
+        new_amps[m] = c_m * diag * ph_m + c_p * cross * ph_x.conjugate()
+        new_amps[p] = c_p * diag.conjugate() * ph_m.conjugate() + c_m * cross * ph_x
+    return SparseState(amps=new_amps, leaked=state.leaked, time=t0 + tau)
+
+
+def outcome(kernel, state, pulse, cfg):
+    try:
+        out = kernel(state, pulse, cfg)
+    except sp.AmbiguousTransitionError:
+        return "ambiguous"
+    return list(out.amps.items()), out.leaked, out.time
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A chain, a pulse near one spin's lines, and states with and without partners."""
+    n = draw(st.integers(2, 130))
+    # a small base Larmor frequency gives flip energies of zero on spin 0
+    cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=draw(st.floats(3.0, 200.0)),
+                         base_larmor=draw(st.sampled_from([None, 0.0, 1.0, 2.0])))
+    k = draw(st.integers(0, n - 1))
+    nu = cfg.omega(k) + draw(
+        st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -4.0]),
+                  st.floats(-7.0, 7.0))
+    )
+    pulse = sp.Pulse(frequency=nu, rabi=draw(st.floats(0.01, 1.0)),
+                     duration=draw(st.floats(0.1, 50.0)))
+    near = range(max(0, k - 3), min(n, k + 4))
+    amps = {}
+    for s in draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=30)):
+        amps[s] = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+        if draw(st.booleans()):
+            amps[s ^ (1 << draw(st.sampled_from(near)))] = complex(
+                draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+    state = SparseState(amps=amps, leaked=draw(st.floats(0.0, 0.1)),
+                        time=draw(st.floats(0.0, 1e4)))
+    return state, pulse, cfg
+
+
+class TestKernelAgainstReference:
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference_kernel(self, inputs):
+        # same amplitudes in the same insertion order, same ledger and time,
+        # and AmbiguousTransitionError in the same cases
+        state, pulse, cfg = inputs
+        assert outcome(apply_pulse, state, pulse, cfg) == outcome(
+            reference_apply_pulse, state, pulse, cfg
+        )
+
+    def test_inputs_cover_both_window_kinds_and_ambiguity(self):
+        # the strategy above reaches one-spin and multi-spin windows, and
+        # pulses the two-level reduction must refuse
+        cfg = sp.ChainConfig(n_qubits=6, larmor_spacing=3.0)
+        pulse = sp.Pulse(frequency=cfg.omega(2) + 1.5, rabi=0.2, duration=3.0)
+        assert len(window_spins(pulse.frequency, cfg)) > 1
+        state = SparseState(amps={0: 1.0 + 0j, 1 << 2: 0.5j, 0b101010: 0.3})
+        assert outcome(reference_apply_pulse, state, pulse, cfg) == "ambiguous"
+        assert outcome(apply_pulse, state, pulse, cfg) == "ambiguous"
 
 
 class TestApplyPulse:
