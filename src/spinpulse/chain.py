@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,9 @@ def basis_energies(states: list[int], cfg: ChainConfig) -> list[float]:
             raise ValueError(f"state {state} does not fit in {n} bits")
     base, spacing = cfg.base_larmor, cfg.larmor_spacing
     zeeman = np.zeros(len(states))
+    rows = pack_states(states, n)
     for lo in range(0, n, 64):
-        word = np.array([(s >> lo) & 0xFFFF_FFFF_FFFF_FFFF for s in states], np.uint64)
+        word = rows[:, lo // 64]
         for k in range(lo, min(lo + 64, n)):
             w = base + k * spacing
             zeeman += np.where((word >> np.uint64(k - lo)) & np.uint64(1), -w, w)
@@ -139,6 +141,14 @@ def basis_energies(states: list[int], cfg: ChainConfig) -> list[float]:
     unlike = np.array([((s ^ (s >> 1)) & pairs).bit_count() for s in states], np.int64)
     bonds = (n - 1) - 2 * unlike
     return (-0.5 * zeeman - 0.5 * cfg.coupling * bonds).tolist()
+
+
+def pack_states(states: Iterable[int], n_qubits: int) -> np.ndarray:
+    """N-bit states as rows of W = ceil(N/64) little-endian uint64 words, least
+    significant first: row i holds ``states[i].to_bytes(8 * W, "little")``."""
+    words = (n_qubits + 63) // 64
+    data = b"".join(s.to_bytes(8 * words, "little") for s in states)
+    return np.frombuffer(data, np.dtype("<u8")).reshape(-1, words)
 
 
 def flip_energy(state: int, k: int, cfg: ChainConfig) -> float:

@@ -90,6 +90,9 @@ def _validate_config(doc: dict) -> None:
         extra = set(section) - allowed
         if extra:
             raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
 
 
 def load_config(path: str | Path) -> dict:
@@ -137,12 +140,16 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path) -> Proto
         for field in ("first", "last", "bound"):
             if field not in jitter:
                 raise ConfigError(f"jitter section needs {field!r}")
-        protocol = perturb_protocol(
-            protocol,
-            (jitter["first"], jitter["last"]),
-            jitter["bound"],
-            int(doc.get("seed", 0)),
-        )
+        first, last, bound = jitter["first"], jitter["last"], jitter["bound"]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (first, last)):
+            raise ConfigError(f"jitter.first and .last must be integers, got {first!r}, {last!r}")
+        numeric = isinstance(bound, (int, float)) and not isinstance(bound, bool)
+        if not numeric or not 0 <= bound < math.inf:
+            raise ConfigError(f"jitter.bound must be a non-negative finite number, got {bound!r}")
+        try:
+            protocol = perturb_protocol(protocol, (first, last), bound, doc.get("seed", 0))
+        except ValueError as exc:
+            raise ConfigError(f"jitter (first {first}, last {last}, bound {bound!r}): {exc}")
     return protocol
 
 
@@ -258,8 +265,10 @@ def cmd_simulate(args, engine_override: str | None = None) -> int:
     report_opts = doc.get("report", {})
     doubled = bool(args.doubled_probabilities or report_opts.get("doubled_probabilities"))
     trace = bool(args.trace or report_opts.get("trace"))
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     cutoff = float(args.cutoff) if args.cutoff is not None else cfg.cutoff
+    if not 0.0 < cutoff < 1.0:
+        raise ConfigError(f"--cutoff must lie in (0, 1), got {cutoff!r}")
     cutoff_raw = cutoff / 2.0 if doubled else cutoff
     engine = engine_override or args.engine or doc.get("engine", {}).get("kind", "perturbative")
 

@@ -170,11 +170,15 @@ def perturb_protocol(
 
     ``pulse_range`` is inclusive and counts pi-pulses from 1, skipping the
     opening pi/2-pulse.  Durations are kept fixed, so jittered pulses are no
-    longer exact pi-pulses.  Raises if a jittered strength would be <= 0.
+    longer exact pi-pulses.  Raises if the range is empty or runs past the
+    protocol's pi-pulses, or if a jittered strength would be <= 0.
     """
     lo, hi = pulse_range
     if amplitude_jitter < 0:
         raise ValueError("amplitude_jitter must be >= 0")
+    count = sum(p.label.startswith(PI_PULSE + "-") for p in protocol.pulses)
+    if not 1 <= lo <= hi <= count:
+        raise ValueError(f"pulse range ({lo}, {hi}) must lie within pi-pulses 1 to {count}")
     rng = random.Random(seed)
     new_pulses: list[Pulse] = []
     ordinal = 0

@@ -270,8 +270,10 @@ def first_order_error(cfg: ChainConfig, protocol: Protocol) -> float:
     for pulse in protocol.pulses:
         added = _far_flip_amplitudes(zeroth, pulse, cfg)
         first = apply_pulse(first, pulse, cfg)
+        amps = dict(first.amps)
         for s, c in added.items():
-            first.amps[s] = first.amps.get(s, 0j) + c
+            amps[s] = amps.get(s, 0j) + c
+        first = SparseState(amps, first.leaked, first.time)
         zeroth = prune(apply_pulse(zeroth, pulse, cfg), cfg.cutoff)
     unwanted = (set(zeroth.amps) | set(first.amps)) - {
         protocol.initial_state, protocol.target_state

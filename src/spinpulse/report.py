@@ -245,13 +245,17 @@ def records_csv(records: list[UnwantedRecord]) -> str:
     return buf.getvalue()
 
 
-def _probability(amps: dict[int, complex]) -> float:
+def _probability(amps: Mapping[int, complex]) -> float:
     return math.fsum(c.real * c.real + c.imag * c.imag for c in amps.values())
 
 
 def reporting_cutoff(cfg: ChainConfig, cutoff: float | None) -> float:
-    """The probability cutoff of a run: ``cutoff``, or the chain config's."""
-    return cfg.cutoff if cutoff is None else cutoff
+    """The probability cutoff of a run, ``cutoff`` or the chain config's;
+    ValueError unless 0 < cutoff < 1 (NaN included)."""
+    cutoff = cfg.cutoff if cutoff is None else cutoff
+    if not 0.0 < cutoff < 1.0:
+        raise ValueError(f"cutoff must lie in (0, 1), got {cutoff!r}")
+    return cutoff
 
 
 def _ledger_key(state: int) -> bytes:
@@ -284,7 +288,7 @@ class Ledger(Mapping):
 
 
 State = TypeVar("State")
-View = tuple[dict[int, complex], float, float]  # (amps, leaked, time)
+View = tuple[Mapping[int, complex], float, float]  # (amps, leaked, time)
 
 
 def run_pulses(
@@ -310,11 +314,17 @@ def run_pulses(
     for idx, pulse in enumerate(protocol.pulses, start=1):
         state = step(state, pulse)
         shown = view(state)
-        for s in shown[0]:
-            # _ledger_key, inlined: this loop sees every stored state of every pulse
-            key = s.to_bytes((s.bit_length() + 7) // 8, "little")
-            if key not in pulses:
-                pulses[key] = idx
+        amps = shown[0]
+        if hasattr(amps, "state_bytes"):  # packed amplitudes: keys read off their rows
+            for key in amps.state_bytes():
+                if key not in pulses:
+                    pulses[key] = idx
+        else:
+            for s in amps:
+                # _ledger_key, inlined: this loop sees every stored state of every pulse
+                key = s.to_bytes((s.bit_length() + 7) // 8, "little")
+                if key not in pulses:
+                    pulses[key] = idx
         if rows is not None:
             rows.append(_trace_entry(idx, shown, ref))
     return state, shown, Ledger(pulses), rows

@@ -187,8 +187,34 @@ def _protocol_file_config(tmp_path, edit):
     })
 
 
+def _jitter_config(tmp_path, jitter, seed=0):
+    # N=6: nine pi-pulses
+    return "simulate", write_config(tmp_path, base_config(jitter=jitter, seed=seed))
+
+
 # case -> (writes the inputs and returns (command, config path), word in message)
 MALFORMED = {
+    "jitter-bound-not-a-number": (
+        lambda p: _jitter_config(p, {"first": 2, "last": 6, "bound": "x"}), "jitter.bound"
+    ),
+    "jitter-bound-negative": (
+        lambda p: _jitter_config(p, {"first": 2, "last": 6, "bound": -0.1}), "jitter.bound"
+    ),
+    "jitter-first-not-an-int": (
+        lambda p: _jitter_config(p, {"first": 1.5, "last": 6, "bound": 0.01}), "jitter.first"
+    ),
+    "jitter-first-after-last": (
+        lambda p: _jitter_config(p, {"first": 5, "last": 2, "bound": 0.01}), "jitter"
+    ),
+    "jitter-past-the-pi-pulses": (
+        lambda p: _jitter_config(p, {"first": 2, "last": 10, "bound": 0.01}), "jitter"
+    ),
+    "jitter-from-pi-pulse-zero": (
+        lambda p: _jitter_config(p, {"first": 0, "last": 3, "bound": 0.01}), "jitter"
+    ),
+    "seed-not-an-int": (
+        lambda p: _jitter_config(p, {"first": 2, "last": 6, "bound": 0.01}, seed="abc"), "seed"
+    ),
     "axis-without-stop": (
         lambda p: _sweep_config(p, {"start": 100.0, "points": 3}), "stop"
     ),
@@ -400,3 +426,24 @@ class TestAnalyze:
         assert table == sp.RunReport.load(out / "report.json").unwanted_csv()
         for name in ("unwanted.csv", "bands.json"):
             assert (analysis / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate-exact"])
+@pytest.mark.parametrize("cutoff", ["nan", "2", "1", "0", "-1e-6", "inf"])
+def test_cutoff_outside_the_unit_interval_is_a_config_error(tmp_path, capsys, command, cutoff):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, base_config(n=4))
+    argv = [command, "--config", str(cfg_path), "--out", str(out), f"--cutoff={cutoff}"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert "--cutoff" in err["error"]["message"]
+    assert not out.exists()
+
+
+def test_tiny_cutoff_stays_valid(tmp_path):
+    cfg_path = write_config(tmp_path, base_config(n=4))
+    out = tmp_path / "out"
+    assert main(["simulate-exact", "--config", str(cfg_path), "--out", str(out),
+                 "--cutoff", "1e-300"]) == 0
+    assert sp.RunReport.load(out / "report.json").prune_cutoff == 1e-300

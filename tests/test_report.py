@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
 from spinpulse.report import (
-    UnwantedRecord, accumulated_reference_phase, make_report, run_pulses,
+    UnwantedRecord, accumulated_reference_phase, make_report, reporting_cutoff, run_pulses,
 )
 from spinpulse.sparse_engine import SparseState
 
@@ -374,3 +374,18 @@ class TestLedger:
     def test_read_only(self):
         with pytest.raises(TypeError):
             self.ledger()[8] = 1
+
+
+class TestReportingCutoff:
+    CFG = sp.ChainConfig(n_qubits=3, larmor_spacing=100.0, cutoff=1e-6)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, 0.0, -1e-6, 1.0, 2.0, math.inf])
+    def test_outside_the_unit_interval_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must lie in"):
+            reporting_cutoff(self.CFG, cutoff)
+        with pytest.raises(ValueError, match="cutoff must lie in"):
+            sp.run_protocol(SparseState.from_basis(0), [], self.CFG, cutoff=cutoff)
+
+    def test_default_and_tiny_cutoff(self):
+        assert reporting_cutoff(self.CFG, None) == 1e-6
+        assert reporting_cutoff(self.CFG, 1e-300) == 1e-300

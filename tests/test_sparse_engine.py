@@ -1,13 +1,20 @@
 import cmath
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse.chain import NEAR_RESONANT_MAX_J, RESONANCE_TOL, nearest_flip, window_spins
-from spinpulse.sparse_engine import SparseState, apply_pulse, prune
+from spinpulse import sparse_engine
+from spinpulse.chain import (
+    NEAR_RESONANT_MAX_J, RESONANCE_TOL, nearest_flip, pack_states, window_spins,
+)
+from spinpulse.sparse_engine import (
+    PACKED_MIN_STATES, PackedAmps, SparseState, apply_pulse, prune,
+)
 
 CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=10.0, base_larmor=100.0)
 
@@ -107,6 +114,17 @@ class TestKernelAgainstReference:
         assert outcome(apply_pulse, state, pulse, cfg) == outcome(
             reference_apply_pulse, state, pulse, cfg
         )
+
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_kernel_bit_identical_to_reference_kernel(self, inputs):
+        # every pulse with one window spin runs packed, whatever the state count
+        state, pulse, cfg = inputs
+        with mock.patch.object(sparse_engine, "PACKED_MIN_STATES", 1):
+            packed = outcome(apply_pulse, state, pulse, cfg)
+        expected = outcome(reference_apply_pulse, state, pulse, cfg)
+        assert packed == expected
+        assert repr(packed) == repr(expected)  # signed zeros too
 
     def test_inputs_cover_both_window_kinds_and_ambiguity(self):
         # the strategy above reaches one-spin and multi-spin windows, and
@@ -333,3 +351,114 @@ class TestRunProtocol:
         assert report.time == pytest.approx(
             sum(p.duration for p in proto.pulses), rel=1e-15
         )
+
+
+def reference_run(initial, pulses, cfg, cutoff):
+    """A whole run as first written: the reference kernel, the per-state prune
+    loop and the int-keyed first-crossing loop."""
+    state = initial
+    generation = dict.fromkeys(state.amps, 0)
+    for idx, pulse in enumerate(pulses, start=1):
+        state = reference_apply_pulse(state, pulse, cfg)
+        kept, leaked = {}, state.leaked
+        for s, c in state.amps.items():
+            p = c.real * c.real + c.imag * c.imag
+            if p < cutoff:
+                leaked += p
+            else:
+                kept[s] = c
+        state = SparseState(kept, leaked, state.time)
+        for s in kept:
+            if s not in generation:
+                generation[s] = idx
+    return list(state.amps.items()), state.leaked, list(generation.items())
+
+
+def random_superposition(n, count, spins, rng):
+    """``count`` random states over all words; about half with their partner
+    across one of ``spins``, amplitudes spread from 1e-4 to 1."""
+    amps = {}
+    while len(amps) < count:
+        s = rng.getrandbits(n)
+        amps[s] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-4, 0)
+        if rng.random() < 0.5:
+            amps[s ^ (1 << rng.choice(spins))] = complex(rng.uniform(-1, 1), 0.3)
+    return amps
+
+
+class TestPackedRuns:
+    """Whole runs through run_protocol equal the per-state reference exactly:
+    amplitudes in insertion order, leaked probability, ledger in order."""
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 129])
+    @pytest.mark.parametrize("count", [PACKED_MIN_STATES // 2 + 20, 2 * PACKED_MIN_STATES])
+    def test_equal_to_reference_run(self, n, count, monkeypatch):
+        packed_calls = []
+        kernel = sparse_engine._packed_pulse
+        monkeypatch.setattr(sparse_engine, "_packed_pulse",
+                            lambda *a: packed_calls.append(a[1]) or kernel(*a))
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
+        # window spins at both ends and where bit k-1 or k+1 lies in another word
+        spins = [k for k in (0, n - 1, 63, 64, 127, 128) if k < n]
+        rng = random.Random(n * 1000 + count)
+        pulses = [
+            sp.Pulse(frequency=cfg.omega(k) + d, rabi=rng.uniform(0.1, 0.5),
+                     duration=rng.uniform(1.0, 20.0))
+            for k in spins for d in (0.0, 2.0, -2.0, 5.0, -1.0)
+        ]
+        rng.shuffle(pulses)
+        # a pulse between two spins' lines addresses no spin
+        pulses.insert(3, sp.Pulse(frequency=cfg.omega(1) + 50.0, rabi=0.3, duration=2.0))
+        initial = SparseState(random_superposition(n, count, spins, rng), time=3.0)
+        report = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
+        final, leaked, generation = reference_run(initial, pulses, cfg, 1e-6)
+        assert list(report.final_amps.items()) == final
+        assert repr(list(report.final_amps.items())) == repr(final)  # signed zeros too
+        assert report.leaked == leaked
+        assert list(report.generation.items()) == generation
+        # the packed kernel ran, on every window spin, and so did the loop
+        assert set(packed_calls) == set(spins)
+        assert len(packed_calls) < len(pulses)
+
+    def test_lone_states_split_then_pair_up(self):
+        # one pulse splits lone states; the next one sees pairs on both sides
+        cfg = sp.ChainConfig(n_qubits=130, larmor_spacing=100.0)
+        rng = random.Random(7)
+        amps = {rng.getrandbits(130) & ~(1 << 64): 0.05 + 0.01j
+                for _ in range(PACKED_MIN_STATES + 10)}
+        pulse = sp.Pulse(frequency=cfg.omega(64) + 2.0, rabi=0.3, duration=5.0)
+        initial = SparseState(amps)
+        report = sp.run_protocol(initial, [pulse, pulse, pulse], cfg, cutoff=1e-5)
+        final, leaked, generation = reference_run(initial, [pulse] * 3, cfg, 1e-5)
+        assert len(final) > len(amps)
+        assert list(report.final_amps.items()) == final
+        assert report.leaked == leaked
+        assert list(report.generation.items()) == generation
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("words", [1, 2, 4, 16])
+    def test_sort_keys_order_rows_as_ints(self, words):
+        rng = random.Random(words)
+        states = {0, 1, 255, 256, (1 << (64 * words)) - 1, 1 << (64 * words - 1)}
+        for _ in range(500):
+            # zero bytes anywhere, the low ones included, so that big-endian
+            # keys end in zeros
+            b = bytes(rng.choice((0, rng.randrange(256))) for _ in range(8 * words))
+            states.add(int.from_bytes(b, "little"))
+            states.add(rng.getrandbits(8 * rng.randrange(1, 8 * words)) << 8)
+        states = list(states)
+        rng.shuffle(states)
+        rows = pack_states(states, 64 * words)
+        order = np.argsort(sparse_engine._sort_keys(rows), kind="stable")
+        assert [states[i] for i in order] == sorted(states)
+
+    def test_rows_hold_little_endian_words(self):
+        states = [0, 1 << 64, (1 << 129) | 5, 256]
+        packed = PackedAmps.pack(dict.fromkeys(states, 1j), 130)
+        assert packed.rows.shape == (4, 3)
+        assert [r.tobytes() for r in packed.rows] == [s.to_bytes(24, "little") for s in states]
+        shortest = [s.to_bytes((s.bit_length() + 7) // 8, "little") for s in states]
+        assert packed.state_bytes() == shortest
+        assert list(packed.items()) == [(s, 1j) for s in states]
+        assert len(packed) == 4
