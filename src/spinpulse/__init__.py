@@ -9,10 +9,7 @@ __version__ = "0.1.0"
 
 from .chain import (
     ChainConfig,
-    TransitionClass,
-    TransitionKind,
     basis_energy,
-    classify_transition,
     flip_energy,
     resonant_frequency_table,
     state_from_string,

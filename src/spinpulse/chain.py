@@ -14,15 +14,16 @@ with s_k = +1 for bit 0 and -1 for bit 1.
 Driving a single-spin flip is resonant at |E_after - E_before|, which takes
 the values omega_k +- J for end spins and omega_k, omega_k +- 2J for inner
 spins depending on the neighbour configuration; a chain therefore has
-3N - 2 resonant lines.  ``classify_transition`` decides, for a given basis
-state and drive frequency, which spin responds and whether the transition
-is resonant, near-resonant (detuning up to 4J), or non-resonant.
+3N - 2 resonant lines.  ``nearest_flip`` finds the spin whose flip lies
+closest to a drive; a flip within ``near_resonant_window`` (4J) of it is
+near-resonant, every other flip non-resonant.  ``sparse_engine.PulsePairs``
+applies this to every state of a pulse.
 """
 
 from __future__ import annotations
 
-import enum
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from .exceptions import AmbiguousTransitionError
 
-# |detuning| < RESONANCE_TOL * J counts as exactly resonant; frequencies are
-# constructed, not measured, so exact cancellation is the expected case.
+# Slack on constructed frequencies: they are computed, not measured, so a
+# detuning meant to be 0 or 4J lies within RESONANCE_TOL * J of it.
 RESONANCE_TOL = 1e-9
 
 # Largest detuning treated as near-resonant.  The gate protocols only ever
@@ -55,6 +56,16 @@ class ChainConfig:
     cutoff: float = 1e-6
 
     def __post_init__(self):
+        if isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, numbers.Integral):
+            raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}")
+        for name in ("larmor_spacing", "base_larmor", "coupling", "cutoff"):
+            value = getattr(self, name)
+            if value is None and name == "base_larmor":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         # N = 1 is allowed as a degenerate case for solver unit checks;
         # the chain proper starts at N = 2.
         if self.n_qubits < 1:
@@ -77,27 +88,6 @@ class ChainConfig:
     @property
     def dimension(self) -> int:
         return 1 << self.n_qubits
-
-
-class TransitionKind(enum.Enum):
-    RESONANT = "resonant"
-    NEAR_RESONANT = "near_resonant"
-    NON_RESONANT = "non_resonant"
-
-
-@dataclass(frozen=True)
-class TransitionClass:
-    """Outcome of matching one basis state against one drive frequency.
-
-    ``detuning`` is signed: E_upper - E_lower - frequency for the flip of
-    ``spin``, where upper/lower refer to the two states of the pair.  A
-    non-resonant result names the nearest transition among the spins within
-    6J of the drive, or spin -1 with detuning -frequency when there are none.
-    """
-
-    kind: TransitionKind
-    spin: int
-    detuning: float
 
 
 # -- basis-state helpers -----------------------------------------------------
@@ -196,13 +186,18 @@ def window_spins(freq: float, cfg: ChainConfig) -> list[int]:
     A flip of spin k lies within 2J of omega_k (for omega_k >= 0), so only
     spins with |omega_k - freq| <= 6J can respond to the pulse at all.
     """
+    base, spacing = cfg.base_larmor, cfg.larmor_spacing
     margin = (NEAR_RESONANT_MAX_J + 2.0 + RESONANCE_TOL) * cfg.coupling
-    guess = (freq - cfg.base_larmor) / cfg.larmor_spacing
-    lo = max(0, math.floor(guess - margin / cfg.larmor_spacing))
-    hi = min(cfg.n_qubits - 1, math.ceil(guess + margin / cfg.larmor_spacing))
-    return [
-        k for k in range(lo, hi + 1) if abs(cfg.omega(k) - freq) <= margin
-    ]
+    guess = (freq - base) / spacing
+    lo = max(0, math.floor(guess - margin / spacing))
+    hi = min(cfg.n_qubits - 1, math.ceil(guess + margin / spacing))
+    # omega_k as cfg.omega computes it, without its range check
+    return [k for k in range(lo, hi + 1) if abs(base + k * spacing - freq) <= margin]
+
+
+def near_resonant_window(cfg: ChainConfig) -> float:
+    """Largest |detuning| of a flip that is evolved as a near-resonant pair."""
+    return NEAR_RESONANT_MAX_J * cfg.coupling + RESONANCE_TOL * cfg.coupling
 
 
 def nearest_flip(state: int, freq: float, cfg: ChainConfig) -> tuple[int, float]:
@@ -226,29 +221,9 @@ def nearest_flip(state: int, freq: float, cfg: ChainConfig) -> tuple[int, float]
             best_d, best_k, best_e = d, k, e
         elif d < second_d:
             second_d = d
-    window = NEAR_RESONANT_MAX_J * cfg.coupling + RESONANCE_TOL * cfg.coupling
+    window = near_resonant_window(cfg)
     if best_d <= window and second_d <= window:
         raise AmbiguousTransitionError(
             f"state {state}: two transitions within {window} of drive {freq}"
         )
     return best_k, best_e
-
-
-def classify_transition(state: int, freq: float, cfg: ChainConfig) -> TransitionClass:
-    """Match ``state`` against a drive at ``freq``.
-
-    Returns the responding spin with its signed detuning
-    Delta = E_upper - E_lower - freq.  Resonant means |Delta| below the
-    construction tolerance; near-resonant means |Delta| up to 4J; everything
-    farther is non-resonant and the state ignores the pulse.
-    """
-    k, e = nearest_flip(state, freq, cfg)
-    delta = abs(e) - freq
-    j = cfg.coupling
-    if abs(delta) < RESONANCE_TOL * j:
-        kind = TransitionKind.RESONANT
-    elif abs(delta) <= NEAR_RESONANT_MAX_J * j + RESONANCE_TOL * j:
-        kind = TransitionKind.NEAR_RESONANT
-    else:
-        kind = TransitionKind.NON_RESONANT
-    return TransitionClass(kind=kind, spin=k, detuning=delta)

@@ -28,7 +28,11 @@ with doubled probabilities the stored pruning threshold is cutoff/2.
 "engine.max_qubits" caps both dense engines: it defaults to 14 for the
 exact engine and to 8 for the classical one.  It must be a positive
 integer, and "engine.step" (null for the default) and "engine.norm_tol"
-positive finite numbers.
+positive finite numbers.  "gate.k" must be a positive integer, and
+"gate.rabi", the sweep threshold and every axis value positive finite
+numbers; flags are JSON true or false.
+"compare.rabi" or "compare.k" replaces the gate's under "vary": "spacing"
+and is refused under "vary": "rabi".
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ _SCHEMA = {
     "seed": None,
     "jitter": {"first", "last", "bound"},
     "sweep": {"spacings", "rabis", "threshold"},
-    "compare": {"vary", "values", "rabi", "spacing", "k"},
+    "compare": {"vary", "values", "rabi", "k"},
 }
 
 
@@ -114,11 +118,12 @@ def chain_from_config(doc: dict) -> ChainConfig:
         raise ConfigError("chain section needs n_qubits and larmor_spacing")
     try:
         return ChainConfig(**chain)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
 
-def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path) -> Protocol:
+def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path, seed: int) -> Protocol:
+    """The config's protocol file, or its gate with the jitter drawn from ``seed``."""
     if "protocol_file" in doc:
         return Protocol.load(config_dir / doc["protocol_file"])
     gate = doc.get("gate")
@@ -129,9 +134,8 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path) -> Proto
     try:
         protocol = build_cn_protocol(
             cfg,
-            rabi=gate.get("rabi"),
-            k=gate.get("k"),
-            equal_epsilon=gate.get("equal_epsilon", True),
+            **_drive(gate, "gate"),
+            equal_epsilon=_flag(gate.get("equal_epsilon", True), "gate.equal_epsilon"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -147,13 +151,22 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path) -> Proto
         if not numeric or not 0 <= bound < math.inf:
             raise ConfigError(f"jitter.bound must be a non-negative finite number, got {bound!r}")
         try:
-            protocol = perturb_protocol(protocol, (first, last), bound, doc.get("seed", 0))
+            protocol = perturb_protocol(protocol, (first, last), bound, seed)
         except ValueError as exc:
             raise ConfigError(f"jitter (first {first}, last {last}, bound {bound!r}): {exc}")
     return protocol
 
 
-def _axis_values(axis) -> list[float]:
+def _axis_values(axis, name: str) -> list[float]:
+    """The spacings or drive strengths of axis ``name``: positive finite numbers."""
+    values = _axis_list(axis)
+    bad = [v for v in values if not 0.0 < v < math.inf]
+    if bad:
+        raise ConfigError(f"{name} values must be positive finite numbers, got {bad[0]!r}")
+    return values
+
+
+def _axis_list(axis) -> list[float]:
     if isinstance(axis, list):
         try:
             return [float(v) for v in axis]
@@ -168,12 +181,15 @@ def _axis_values(axis) -> list[float]:
             raise ConfigError(f"axis needs {sorted(missing)}")
         try:
             start, stop = float(axis["start"]), float(axis["stop"])
-            points = int(axis["points"])
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"axis start, stop and points must be numbers: {exc}")
-        if points < 2:
-            raise ConfigError("axis needs at least 2 points")
-        if axis.get("scale", "linear") == "log":
+            raise ConfigError(f"axis start and stop must be numbers: {exc}")
+        points = axis["points"]
+        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+            raise ConfigError(f"axis points must be an integer of at least 2, got {points!r}")
+        scale = axis.get("scale", "linear")
+        if scale not in ("linear", "log"):
+            raise ConfigError(f"axis scale must be 'linear' or 'log', got {scale!r}")
+        if scale == "log":
             if start <= 0 or stop <= 0:
                 raise ConfigError("a log-scale axis needs positive start and stop")
             ratio = (stop / start) ** (1.0 / (points - 1))
@@ -183,19 +199,37 @@ def _axis_values(axis) -> list[float]:
     raise ConfigError("axis must be a list or a range object")
 
 
-def _engine_number(engine_opts: dict, key: str, default, *, integer: bool = False):
-    """``engine.<key>`` or its default, checked to be a positive integer or finite number.
-
-    An option whose default is None may be left unset or null.
-    """
-    value = engine_opts.get(key, default)
-    if value is None and default is None:
+def _positive(value, name: str, *, integer: bool = False, optional: bool = False):
+    """Config field ``name``, checked to be a positive integer or finite number,
+    or None if it is optional."""
+    if value is None and optional:
         return None
     kinds = int if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < math.inf:
         kind = "a positive integer" if integer else "a positive finite number"
-        raise ConfigError(f"engine.{key} must be {kind}, got {value!r}")
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
     return value
+
+
+def _flag(value, name: str) -> bool:
+    """Config field ``name``, checked to be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _max_qubits(doc: dict, default: int) -> int:
+    """``engine.max_qubits``, checked, or a dense engine's ``default`` cap."""
+    value = doc.get("engine", {}).get("max_qubits", default)
+    return _positive(value, "engine.max_qubits", integer=True)
+
+
+def _drive(section: dict, name: str) -> dict:
+    """The ``rabi`` and ``k`` that config section ``name`` sets, checked."""
+    return {
+        key: _positive(section[key], f"{name}.{key}", integer=key == "k", optional=True)
+        for key in ("rabi", "k") if key in section
+    }
 
 
 def _run_engine(
@@ -217,14 +251,14 @@ def _run_engine(
     if engine == "exact":
         return run_protocol_exact(
             initial, protocol, cfg, **run,
-            cap=_engine_number(engine_opts, "max_qubits", DEFAULT_QUBIT_CAP, integer=True),
+            cap=_max_qubits(doc, DEFAULT_QUBIT_CAP),
         )
     if engine == "classical":
         return run_protocol_classical(
             initial, protocol, cfg, **run,
-            cap=_engine_number(engine_opts, "max_qubits", CLASSICAL_QUBIT_CAP, integer=True),
-            step=_engine_number(engine_opts, "step", None),
-            norm_tol=_engine_number(engine_opts, "norm_tol", 1e-9),
+            cap=_max_qubits(doc, CLASSICAL_QUBIT_CAP),
+            step=_positive(engine_opts.get("step"), "engine.step", optional=True),
+            norm_tol=_positive(engine_opts.get("norm_tol", 1e-9), "engine.norm_tol"),
         )
     raise ConfigError(f"unknown engine {engine!r}")
 
@@ -263,8 +297,9 @@ def cmd_simulate(args, engine_override: str | None = None) -> int:
     doc = load_config(args.config)
     cfg = chain_from_config(doc)
     report_opts = doc.get("report", {})
-    doubled = bool(args.doubled_probabilities or report_opts.get("doubled_probabilities"))
-    trace = bool(args.trace or report_opts.get("trace"))
+    doubled = _flag(report_opts.get("doubled_probabilities", False), "report.doubled_probabilities")
+    trace = _flag(report_opts.get("trace", False), "report.trace")
+    doubled, trace = doubled or args.doubled_probabilities, trace or args.trace
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     cutoff = float(args.cutoff) if args.cutoff is not None else cfg.cutoff
     if not 0.0 < cutoff < 1.0:
@@ -272,7 +307,7 @@ def cmd_simulate(args, engine_override: str | None = None) -> int:
     cutoff_raw = cutoff / 2.0 if doubled else cutoff
     engine = engine_override or args.engine or doc.get("engine", {}).get("kind", "perturbative")
 
-    protocol = protocol_from_config(doc, cfg, Path(args.config).parent)
+    protocol = protocol_from_config(doc, cfg, Path(args.config).parent, seed)
     report = _run_engine(
         engine, protocol, cfg, doc,
         doubled=doubled, trace=trace, cutoff_raw=cutoff_raw, seed=seed,
@@ -289,7 +324,7 @@ def cmd_simulate(args, engine_override: str | None = None) -> int:
 def cmd_design(args) -> int:
     doc = load_config(args.config)
     cfg = chain_from_config(doc)
-    protocol = protocol_from_config(doc, cfg, Path(args.config).parent)
+    protocol = protocol_from_config(doc, cfg, Path(args.config).parent, doc.get("seed", 0))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     protocol.save(out_dir / "protocol.json")
@@ -309,9 +344,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep section needs {field!r}")
     region = sweep_threshold_regions(
         cfg,
-        _axis_values(sweep["spacings"]),
-        _axis_values(sweep["rabis"]),
-        float(sweep["threshold"]),
+        _axis_values(sweep["spacings"], "sweep.spacings"),
+        _axis_values(sweep["rabis"], "sweep.rabis"),
+        _positive(sweep["threshold"], "sweep.threshold"),
     )
     out_dir = Path(args.out)
     _write(out_dir, "regions.csv", region.to_csv())
@@ -336,30 +371,31 @@ def cmd_compare(args) -> int:
     vary = comp.get("vary")
     if vary not in ("spacing", "rabi"):
         raise ConfigError("compare.vary must be 'spacing' or 'rabi'")
-    values = _axis_values(comp.get("values", []))
+    values = _axis_values(comp.get("values", []), "compare.values")
     if not values:
         raise ConfigError("compare.values must be non-empty")
 
     gate = doc.get("gate", {})
+    equal_epsilon = _flag(gate.get("equal_epsilon", True), "gate.equal_epsilon")
+    # compare's rabi or k, else the gate's: under vary "spacing" exactly one is set
+    drive = {**_drive(gate, "gate"), **_drive(comp, "compare")}
+    if vary == "rabi" and {"rabi", "k"} & set(comp):
+        raise ConfigError("compare.rabi and compare.k cannot be set when compare.vary is 'rabi'")
+    if vary == "spacing" and (drive.get("rabi") is None) == (drive.get("k") is None):
+        raise ConfigError("compare.vary 'spacing' needs exactly one of rabi or k (compare or gate)")
+    cap = _max_qubits(doc, DEFAULT_QUBIT_CAP)
     lines = [f"{vary},p_exact,p_formula"]
     for value in values:
         if vary == "spacing":
             cfg_i = replace(cfg, larmor_spacing=value, base_larmor=10.0 * value)
-            rabi = comp.get("rabi", gate.get("rabi"))
-            k = comp.get("k", gate.get("k"))
+            rabi, k = drive.get("rabi"), drive.get("k")
         else:
             cfg_i = cfg
             rabi, k = value, None
-        protocol = build_cn_protocol(
-            cfg_i, rabi=rabi, k=k, equal_epsilon=gate.get("equal_epsilon", True)
-        )
+        protocol = build_cn_protocol(cfg_i, rabi=rabi, k=k, equal_epsilon=equal_epsilon)
         base_rabi = protocol.pulses[0].rabi
         report = run_protocol_exact(
-            SparseState.from_basis(0), protocol, cfg_i,
-            cutoff=1e-300,
-            cap=_engine_number(
-                doc.get("engine", {}), "max_qubits", DEFAULT_QUBIT_CAP, integer=True
-            ),
+            SparseState.from_basis(0), protocol, cfg_i, cutoff=1e-300, cap=cap
         )
         ground = protocol.initial_state
         target = protocol.target_state

@@ -45,10 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainConfig, TransitionKind, classify_transition, flip_energy
+from .chain import ChainConfig, flip_energy
 from .design import rabi_for_2pik
-from .pulses import Protocol, Pulse
-from .sparse_engine import SparseState, apply_pulse, prune
+from .pulses import Protocol
+from .sparse_engine import PulsePairs, SparseState, apply_pulse, prune
 
 
 def epsilon(rabi: float, delta: float, duration: float) -> float:
@@ -157,27 +157,29 @@ def total_error(cfg: ChainConfig, rabi: float) -> ErrorBudget:
     )
 
 
-def _flip_shift(state: int, k: int, frequency: float, cfg: ChainConfig) -> float:
-    """Change of the rotating-frame diagonal E - chi when spin k of ``state`` flips."""
-    return flip_energy(state, k, cfg) - frequency * (1 - 2 * ((state >> k) & 1))
+def _flip_shift(e: float, bit: int, frequency: float) -> float:
+    """Change of the rotating-frame diagonal E - chi when a spin at ``bit`` flips by ``e``."""
+    return e - frequency * (1 - 2 * bit)
 
 
-def _block_modes(state: int, level: float, pulse: Pulse, cfg: ChainConfig):
+def _block_modes(state: int, level: float, pairs: PulsePairs):
     """The zeroth-order block of ``state`` under one pulse and its eigenmodes.
 
-    The block is the one ``sparse_engine.apply_pulse`` evolves: the state and
-    its near-resonant partner, or the state alone.  ``level`` is the state's
-    rotating-frame diagonal entry relative to any fixed reference.  Returns
-    (spin, members, levels, modes): the near-resonant spin (None for a lone
-    state), the block's basis states with their diagonal entries, and its
-    eigenmodes as (eigenvalue, components along ``members``) pairs.
+    The block is the one ``sparse_engine.apply_pulse`` evolves, by ``pairs``:
+    the state and its near-resonant partner, or the state alone.  ``level``
+    is the state's rotating-frame diagonal entry relative to any fixed
+    reference.  Returns (spin, members, levels, modes): the near-resonant
+    spin (None for a lone state), the block's basis states with their
+    diagonal entries, and its eigenmodes as (eigenvalue, components along
+    ``members``) pairs.
     """
-    cls = classify_transition(state, pulse.frequency, cfg)
-    if cls.kind is TransitionKind.NON_RESONANT:
+    pair = pairs.pair(state)
+    if pair is None:
         return None, (state,), (level,), ((level, (1.0,)),)
-    partner = state ^ (1 << cls.spin)
-    other = level + _flip_shift(state, cls.spin, pulse.frequency, cfg)
-    rabi = pulse.rabi
+    spin, e, _ = pair
+    partner = state ^ (1 << spin)
+    other = level + _flip_shift(e, state >> spin & 1, pairs.pulse.frequency)
+    rabi = pairs.pulse.rabi
     delta = other - level
     lam = math.hypot(rabi, delta)
     # lam - delta, written to avoid cancellation when delta >> rabi
@@ -186,12 +188,10 @@ def _block_modes(state: int, level: float, pulse: Pulse, cfg: ChainConfig):
     a, b = rabi / norm, gap / norm
     mid = 0.5 * (level + other)
     modes = ((mid - 0.5 * lam, (a, b)), (mid + 0.5 * lam, (-b, a)))
-    return cls.spin, (state, partner), (level, other), modes
+    return spin, (state, partner), (level, other), modes
 
 
-def _far_flip_amplitudes(
-    state: SparseState, pulse: Pulse, cfg: ChainConfig
-) -> dict[int, complex]:
+def _far_flip_amplitudes(state: SparseState, pairs: PulsePairs) -> dict[int, complex]:
     """Amplitudes one pulse moves out of ``state`` through far-detuned flips.
 
     In the pulse's rotating frame H = H_0 + V, where H_0 holds the 2x2
@@ -205,6 +205,7 @@ def _far_flip_amplitudes(
     2 sin((e - f) tau / 2) / (e - f).  Returns interaction-picture
     amplitudes at the end of the pulse.
     """
+    pulse, cfg = pairs.pulse, pairs.cfg
     t0 = state.time
     tau = pulse.duration
     t1 = t0 + tau
@@ -214,7 +215,7 @@ def _far_flip_amplitudes(
         if s in seen:
             continue
         # diagonal entries are measured from s's own; the reference cancels
-        spin, members, levels, modes = _block_modes(s, 0.0, pulse, cfg)
+        spin, members, levels, modes = _block_modes(s, 0.0, pairs)
         seen.update(members)
         weights = [
             sum(
@@ -228,8 +229,8 @@ def _far_flip_amplitudes(
                 if k == spin:
                     continue
                 y = x ^ (1 << k)
-                level_y = levels[i] + _flip_shift(x, k, pulse.frequency, cfg)
-                _, targets, t_levels, t_modes = _block_modes(y, level_y, pulse, cfg)
+                shift = _flip_shift(flip_energy(x, k, cfg), x >> k & 1, pulse.frequency)
+                _, targets, t_levels, t_modes = _block_modes(y, levels[i] + shift, pairs)
                 for f, w in t_modes:
                     amp = 0j
                     for (e, vec), c in zip(modes, weights):
@@ -250,12 +251,12 @@ def first_order_error(cfg: ChainConfig, protocol: Protocol) -> float:
     """Unwanted-state probability of ``protocol``, first order in far flips.
 
     The zeroth order is the sparse engine's run from the protocol's initial
-    state: near-resonant 2x2 blocks, pruned at ``cfg.cutoff``.  Every flip
-    outside the near-resonant window adds a first-order amplitude (see
-    ``_far_flip_amplitudes``); these are propagated by the zeroth-order
-    blocks through the remaining pulses but are never sources again.  The
-    result is the pruned probability plus the probability of every final
-    state other than the protocol's initial and target states.
+    state: near-resonant 2x2 blocks, pruned at ``cfg.cutoff``.  Every other
+    flip, as ``sparse_engine.PulsePairs`` splits them, adds a first-order
+    amplitude (see ``_far_flip_amplitudes``); these are propagated by the
+    zeroth-order blocks through the remaining pulses but are never sources
+    again.  The result is the pruned probability plus the probability of
+    every final state other than the protocol's initial and target states.
 
     Unlike ``total_error``, this keeps the phases of the leaked amplitudes,
     so it follows the exact engine pointwise.  Its cost grows with the
@@ -268,7 +269,7 @@ def first_order_error(cfg: ChainConfig, protocol: Protocol) -> float:
     zeroth = SparseState.from_basis(protocol.initial_state)
     first = SparseState(amps={})
     for pulse in protocol.pulses:
-        added = _far_flip_amplitudes(zeroth, pulse, cfg)
+        added = _far_flip_amplitudes(zeroth, PulsePairs(pulse, cfg, zeroth.time))
         first = apply_pulse(first, pulse, cfg)
         amps = dict(first.amps)
         for s, c in added.items():

@@ -22,10 +22,12 @@ Amplitudes flowing into the same partner add coherently: a pulse couples
 each state to exactly one partner, so the only merge is the in-block one,
 and iterating states in ascending basis order makes runs bit-reproducible.
 
-A block depends on the pair's flip energy only.  With one spin k in the
-window, that is set by the neighbour bits k-1 and k+1, so each pulse computes
-at most four blocks, one per neighbourhood pattern, and applies each to every
-pair with that pattern using the same operations in the same order.
+``PulsePairs`` is the one pairing rule, read by both kernels and by
+``error_model``.  A block depends on the pair's flip energy only.  With one
+spin k in the window, that is set by the neighbour bits k-1 and k+1, so each
+pulse computes at most four blocks, one per neighbourhood pattern, and
+applies each to every pair with that pattern using the same operations in
+the same order.  With several, each state's ``chain.nearest_flip`` decides.
 
 Emission order, which fixes the amplitudes' insertion order, the ledger's
 and that of the ``leaked`` sum: states are visited in ascending order; one
@@ -59,10 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
-    NEAR_RESONANT_MAX_J,
-    RESONANCE_TOL,
     ChainConfig,
     flip_energy,
+    near_resonant_window,
     nearest_flip,
     pack_states,
     window_spins,
@@ -145,6 +146,50 @@ def _block(e: float, nu: float, rabi: float, tau: float, t0: float, window: floa
     return diag, cross, ph_m, ph_x.conjugate(), diag.conjugate(), ph_m.conjugate(), ph_x
 
 
+class PulsePairs:
+    """Which pair each basis state joins under one pulse starting at ``t0``.
+
+    ``pair(s)`` is (k, e, block) when s pairs with s ^ 2^k, e being the
+    signed flip energy of s and block that of ``_block``, and None when s is
+    left alone.  With one window spin k, ``pattern(j)`` gives (e, block) of
+    neighbour pattern j = bit(k-1) + 2 bit(k+1), e that of the member whose
+    bit k is 0.  Blocks are computed when first asked for.
+    """
+
+    __slots__ = ("pulse", "cfg", "spins", "_args", "_blocks")
+
+    def __init__(self, pulse: Pulse, cfg: ChainConfig, t0: float):
+        self.pulse, self.cfg = pulse, cfg
+        self.spins = window_spins(pulse.frequency, cfg)
+        self._args = pulse.frequency, pulse.rabi, pulse.duration, t0, near_resonant_window(cfg)
+        self._blocks: dict = {}  # (e, block) by pattern j with one window spin, else block by |e|
+
+    def pattern(self, j: int):
+        entry = self._blocks.get(j)
+        if entry is None:
+            k = self.spins[0]
+            e = flip_energy((j & 1) << k >> 1 | (j >> 1) << (k + 1), k, self.cfg)
+            entry = self._blocks[j] = e, _block(e, *self._args)
+        return entry
+
+    def pair(self, s: int):
+        spins = self.spins
+        if len(spins) == 1:
+            k = spins[0]
+            bits = s << 1 >> k & 7  # bits k-1, k and k+1 of s
+            e, blk = self.pattern(bits & 1 | bits >> 1 & 2)
+            if bits & 2:
+                e = -e
+        elif spins:
+            k, e = nearest_flip(s, self.pulse.frequency, self.cfg)
+            if abs(e) not in self._blocks:
+                self._blocks[abs(e)] = _block(e, *self._args)
+            blk = self._blocks[abs(e)]
+        else:
+            return None
+        return None if blk is None else (k, e, blk)
+
+
 def _sort_keys(rows: np.ndarray) -> np.ndarray:
     """Byte strings that order the rows as the integers they hold: the words
     most significant first, each big-endian."""
@@ -216,73 +261,33 @@ def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseSta
     """Propagate every tracked amplitude through one pulse (no pruning).
 
     With one spin in the window and at least ``PACKED_MIN_STATES`` states the
-    result is packed; otherwise it is a dict.  With several spins in the
-    window, each state's nearest flip is looked up and blocks are shared by
-    flip energy.
+    result is packed; otherwise it is a dict.  Pairs follow ``PulsePairs``.
     """
-    nu = pulse.frequency
-    rabi = pulse.rabi
-    tau = pulse.duration
     t0 = state.time
-    j = cfg.coupling
-    window = NEAR_RESONANT_MAX_J * j + RESONANCE_TOL * j
-
+    pairs = PulsePairs(pulse, cfg, t0)
     amps = state.amps
-    spins = window_spins(nu, cfg)
-    if len(amps) >= PACKED_MIN_STATES and len(spins) == 1:
-        k = spins[0]
+    if len(amps) >= PACKED_MIN_STATES and len(pairs.spins) == 1:
         # type() rather than isinstance(), which on a Mapping subclass goes
         # through ABCMeta at ~0.5 us a call, a few per cent of a 2-state pulse
         if type(amps) is not PackedAmps:
             amps = PackedAmps.pack(amps, cfg.n_qubits)
-        # pattern p holds bit k-1 (none for k = 0) and bit k+1
-        es = [flip_energy((p & 1) << k >> 1 | (p >> 1) << (k + 1), k, cfg) for p in range(4)]
-        blocks = [(e, _block(e, nu, rabi, tau, t0, window)) for e in es]
-        return SparseState(_packed_pulse(amps, k, cfg.n_qubits, blocks), state.leaked, t0 + tau)
+        blocks = [pairs.pattern(j) for j in range(4)]
+        packed = _packed_pulse(amps, pairs.spins[0], cfg.n_qubits, blocks)
+        return SparseState(packed, state.leaked, t0 + pulse.duration)
     if type(amps) is PackedAmps:
         amps = amps.as_dict()
-    if not spins:
-        return SparseState({s: amps[s] for s in sorted(amps)}, state.leaked, t0 + tau)
-    single = len(spins) == 1
-    if single:
-        k = spins[0]
-        bit = 1 << k
-        lo = max(k - 1, 0)
-        neighbours = 7 & ~(bit >> lo)
 
     new_amps: dict[int, complex] = {}
-    blocks: dict = {}
     for s, c in sorted(amps.items()):
-        if single:
-            # keyed by the pair's shared bits; e is the flip energy of the
-            # member whose spin k is 0, and its negative for the other one
-            pattern = (s >> lo) & neighbours
-            entry = blocks.get(pattern)
-            if entry is None:
-                e = flip_energy(pattern << lo, k, cfg)
-                entry = blocks[pattern] = e, _block(e, nu, rabi, tau, t0, window)
-            e, blk = entry
-            partner = s ^ bit
-            if partner < s:
-                e = -e
-        else:
-            if s in new_amps:
-                continue  # written with its partner
-            k, e = nearest_flip(s, nu, cfg)
-            if abs(e) not in blocks:
-                blocks[abs(e)] = _block(e, nu, rabi, tau, t0, window)
-            blk = blocks[abs(e)]
-            partner = s ^ (1 << k)
-        if blk is None:
+        if s in new_amps:
+            continue  # written with its partner
+        pair = pairs.pair(s)
+        if pair is None:
             new_amps[s] = c
             continue
-
-        c_x = amps.get(partner)
-        if c_x is None:
-            c_x = 0.0j
-        elif partner < s:
-            continue  # the pair was written when the partner came up
-        diag, cross, ph_m, ph_xc, diag_c, ph_mc, ph_x = blk
+        k, e, (diag, cross, ph_m, ph_xc, diag_c, ph_mc, ph_x) = pair
+        partner = s ^ (1 << k)
+        c_x = amps.get(partner, 0j)
         if e > 0.0:
             m, p, c_m, c_p = s, partner, c, c_x
         else:
@@ -290,7 +295,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseSta
         new_amps[m] = c_m * diag * ph_m + c_p * cross * ph_xc
         new_amps[p] = c_p * diag_c * ph_mc + c_m * cross * ph_x
 
-    return SparseState(amps=new_amps, leaked=state.leaked, time=t0 + tau)
+    return SparseState(amps=new_amps, leaked=state.leaked, time=t0 + pulse.duration)
 
 
 def prune(state: SparseState, cutoff: float) -> SparseState:

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse.chain import NEAR_RESONANT_MAX_J, RESONANCE_TOL, basis_energies, nearest_flip
+from spinpulse.chain import RESONANCE_TOL, basis_energies, near_resonant_window, nearest_flip
 
 CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=10.0, base_larmor=100.0)
 
@@ -139,32 +141,40 @@ class TestResonantFrequencyTable:
         assert all(f > 0 for f in sp.resonant_frequency_table(cfg))
 
 
+def nearest_detuning(state, freq, cfg):
+    """Spin of ``state``'s nearest flip and its signed detuning |E_flip| - freq."""
+    k, e = nearest_flip(state, freq, cfg)
+    return k, abs(e) - freq
+
+
 class TestClassifyTransition:
+    # nearest_flip plus the near-resonant window: resonant means |detuning|
+    # below RESONANCE_TOL * J, near-resonant up to the window, else non-resonant
     CFG = sp.ChainConfig(n_qubits=8, larmor_spacing=100.0)
 
     def test_ground_state_near_resonant_at_inner_line(self):
         n = self.CFG.n_qubits
-        cls = sp.classify_transition(0, self.CFG.omega(n - 2), self.CFG)
-        assert cls.kind is sp.TransitionKind.NEAR_RESONANT
-        assert cls.spin == n - 2
-        assert cls.detuning == pytest.approx(2.0, abs=1e-9)
+        spin, delta = nearest_detuning(0, self.CFG.omega(n - 2), self.CFG)
+        assert RESONANCE_TOL <= abs(delta) <= near_resonant_window(self.CFG)
+        assert spin == n - 2
+        assert delta == pytest.approx(2.0, abs=1e-9)
 
     def test_resonant_on_domain_state(self):
         n = self.CFG.n_qubits
         state = sp.state_from_string("11100000")
-        cls = sp.classify_transition(state, self.CFG.omega(n - 2) - 2.0, self.CFG)
-        assert cls.kind is sp.TransitionKind.RESONANT
-        assert cls.spin == n - 2
+        spin, delta = nearest_detuning(state, self.CFG.omega(n - 2) - 2.0, self.CFG)
+        assert abs(delta) < RESONANCE_TOL
+        assert spin == n - 2
 
     def test_ground_state_double_detuned(self):
         n = self.CFG.n_qubits
-        cls = sp.classify_transition(0, self.CFG.omega(n - 2) - 2.0, self.CFG)
-        assert cls.kind is sp.TransitionKind.NEAR_RESONANT
-        assert cls.detuning == pytest.approx(4.0, abs=1e-9)
+        _, delta = nearest_detuning(0, self.CFG.omega(n - 2) - 2.0, self.CFG)
+        assert RESONANCE_TOL <= abs(delta) <= near_resonant_window(self.CFG)
+        assert delta == pytest.approx(4.0, abs=1e-9)
 
     def test_far_frequency_is_non_resonant(self):
-        cls = sp.classify_transition(0, self.CFG.omega(3) + 50.0, self.CFG)
-        assert cls.kind is sp.TransitionKind.NON_RESONANT
+        _, delta = nearest_detuning(0, self.CFG.omega(3) + 50.0, self.CFG)
+        assert abs(delta) > near_resonant_window(self.CFG)
 
     @given(state=st.integers(min_value=0, max_value=2**8 - 1))
     @settings(max_examples=60, deadline=None)
@@ -173,11 +183,9 @@ class TestClassifyTransition:
         # neighbour configuration, so no table drive is ever non-resonant
         cfg = self.CFG
         for freq in sp.resonant_frequency_table(cfg):
-            cls = sp.classify_transition(state, freq, cfg)
-            assert cls.kind is not sp.TransitionKind.NON_RESONANT
-            assert min(
-                abs(abs(cls.detuning) - v) for v in (0.0, 2.0, 4.0)
-            ) < 1e-9
+            _, delta = nearest_detuning(state, freq, cfg)
+            assert abs(delta) <= near_resonant_window(cfg)
+            assert min(abs(abs(delta) - v) for v in (0.0, 2.0, 4.0)) < 1e-9
 
     def test_ambiguous_window_raises(self):
         cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=6.0, base_larmor=60.0)
@@ -186,22 +194,17 @@ class TestClassifyTransition:
             nearest_flip(0, cfg.omega(1) - 2.0, cfg)
 
 
-def classify_by_full_scan(state, freq, cfg):
-    """Reference classification that tries every spin of the chain."""
-    j = cfg.coupling
-    window = NEAR_RESONANT_MAX_J * j + RESONANCE_TOL * j
+def nearest_by_full_scan(state, freq, cfg):
+    """(spin, signed detuning) of the nearest flip found by trying every spin
+    of the chain; None when a second flip is also in the window."""
+    window = near_resonant_window(cfg)
     scored = sorted(
         (abs(abs(sp.flip_energy(state, k, cfg)) - freq), k) for k in range(cfg.n_qubits)
     )
     if len(scored) > 1 and scored[1][0] <= window:
         return None  # a second transition in the window: ambiguous
     k = scored[0][1]
-    delta = abs(sp.flip_energy(state, k, cfg)) - freq
-    if abs(delta) < RESONANCE_TOL * j:
-        return sp.TransitionKind.RESONANT, k, delta
-    if abs(delta) <= window:
-        return sp.TransitionKind.NEAR_RESONANT, k, delta
-    return sp.TransitionKind.NON_RESONANT, k, delta
+    return k, abs(sp.flip_energy(state, k, cfg)) - freq
 
 
 class TestWindowAgainstFullScan:
@@ -216,19 +219,22 @@ class TestWindowAgainstFullScan:
         cfg = sp.ChainConfig(
             n_qubits=n, larmor_spacing=spacing_j * coupling, coupling=coupling
         )
+        window = near_resonant_window(cfg)
         state = data.draw(st.integers(0, (1 << n) - 1), label="state")
         for line in sp.resonant_frequency_table(cfg):
             for offset in (0.0, 2.0, -2.0, 0.3, -0.3):
                 freq = line + offset * coupling
-                expected = classify_by_full_scan(state, freq, cfg)
+                expected = nearest_by_full_scan(state, freq, cfg)
                 if expected is None:
                     with pytest.raises(sp.AmbiguousTransitionError):
-                        sp.classify_transition(state, freq, cfg)
+                        nearest_flip(state, freq, cfg)
                     continue
-                got = sp.classify_transition(state, freq, cfg)
-                assert got.kind is expected[0]
-                if got.kind is not sp.TransitionKind.NON_RESONANT:
-                    assert (got.spin, got.detuning) == expected[1:]
+                got = nearest_detuning(state, freq, cfg)
+                if abs(expected[1]) <= window:
+                    assert got == expected
+                else:
+                    # no flip in the window: the state is left alone
+                    assert abs(got[1]) > window
 
 
 class TestChainConfig:
@@ -239,6 +245,17 @@ class TestChainConfig:
             sp.ChainConfig(n_qubits=4, larmor_spacing=-1.0)
         with pytest.raises(ValueError):
             sp.ChainConfig(n_qubits=4, larmor_spacing=10.0, cutoff=2.0)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("n_qubits", "6", TypeError), ("n_qubits", 6.5, TypeError), ("n_qubits", True, TypeError),
+        ("larmor_spacing", "a", TypeError), ("larmor_spacing", math.nan, ValueError),
+        ("base_larmor", math.inf, ValueError), ("coupling", math.inf, ValueError),
+        ("cutoff", "x", TypeError),
+    ])
+    def test_rejects_malformed_fields(self, field, value, error):
+        fields = {"n_qubits": 4, "larmor_spacing": 10.0, field: value}
+        with pytest.raises(error, match=field):
+            sp.ChainConfig(**fields)
 
     def test_default_base_larmor(self):
         cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=10.0)

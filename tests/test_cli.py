@@ -129,6 +129,27 @@ class TestSimulate:
         assert main(["design", "--config", str(cfg_path2), "--out", str(out_c)]) == 0
         assert sp.Protocol.load(out_c / "protocol.json") != proto_a
 
+    def test_seed_flag_draws_the_jitter(self, tmp_path):
+        # the report names the seed its jitter was drawn from
+        doc = base_config(jitter={"first": 2, "last": 6, "bound": 0.02})
+        cfg_path = write_config(tmp_path, doc)
+        reports = {}
+        for seed in (1, 2):
+            out = tmp_path / f"seed{seed}"
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                         "--seed", str(seed)]) == 0
+            reports[seed] = sp.RunReport.load(out / "report.json")
+            assert reports[seed].seed == seed
+            expected = sp.perturb_protocol(
+                sp.build_cn_protocol(sp.ChainConfig(n_qubits=6, larmor_spacing=100.0),
+                                     rabi=0.2, equal_epsilon=False),
+                (2, 6), 0.02, seed,
+            )
+            assert reports[seed].protocol == expected.to_dict()
+        rabis = {seed: [p["rabi"] for p in r.protocol["pulses"]] for seed, r in reports.items()}
+        assert rabis[1] != rabis[2]
+        assert reports[1].final_amps != reports[2].final_amps
+
     def test_protocol_file_input(self, tmp_path):
         chain = sp.ChainConfig(n_qubits=5, larmor_spacing=100.0)
         proto = sp.build_cn_protocol(chain, rabi=0.3)
@@ -192,8 +213,95 @@ def _jitter_config(tmp_path, jitter, seed=0):
     return "simulate", write_config(tmp_path, base_config(jitter=jitter, seed=seed))
 
 
+def _edited_config(command, edit, doc=None):
+    """Writes ``doc`` (a 6-qubit simulate config by default) as edited by ``edit``."""
+    def make(tmp_path):
+        d = json.loads(json.dumps(doc or base_config()))
+        edit(d)
+        return command, write_config(tmp_path, d)
+    return make
+
+
+def _set(section, key, value):
+    return lambda d: d.setdefault(section, {}).update({key: value})
+
+
+SWEEP = base_config(n=10, sweep={"spacings": [100.0, 200.0], "rabis": [0.19, 0.21],
+                                 "threshold": 1e-4})
+COMPARE = {
+    "version": 1,
+    "chain": {"n_qubits": 4, "larmor_spacing": 100.0},
+    "gate": {"type": "cn", "k": 3, "equal_epsilon": True},
+    "compare": {"vary": "spacing", "values": [100.0, 300.0]},
+}
+
 # case -> (writes the inputs and returns (command, config path), word in message)
 MALFORMED = {
+    "n-qubits-a-string": (_edited_config("simulate", _set("chain", "n_qubits", "6")), "n_qubits"),
+    "n-qubits-fractional": (_edited_config("simulate", _set("chain", "n_qubits", 6.5)), "n_qubits"),
+    "n-qubits-a-bool": (_edited_config("simulate", _set("chain", "n_qubits", True)), "n_qubits"),
+    "spacing-a-string": (
+        _edited_config("simulate", _set("chain", "larmor_spacing", "a")), "larmor_spacing"
+    ),
+    "spacing-nan": (
+        _edited_config("simulate", _set("chain", "larmor_spacing", math.nan)), "larmor_spacing"
+    ),
+    "base-larmor-infinite": (
+        _edited_config("simulate", _set("chain", "base_larmor", math.inf)), "base_larmor"
+    ),
+    "coupling-infinite": (
+        _edited_config("simulate", _set("chain", "coupling", math.inf)), "coupling"
+    ),
+    "gate-rabi-a-string": (_edited_config("simulate", _set("gate", "rabi", "x")), "gate.rabi"),
+    "gate-rabi-nan": (_edited_config("simulate", _set("gate", "rabi", math.nan)), "gate.rabi"),
+    "gate-k-fractional": (
+        _edited_config("simulate", lambda d: d["gate"].update(rabi=None, k=1.5)), "gate.k"
+    ),
+    "equal-epsilon-a-string": (
+        _edited_config("simulate", _set("gate", "equal_epsilon", "no")), "gate.equal_epsilon"
+    ),
+    "report-trace-a-string": (
+        _edited_config("simulate", _set("report", "trace", "no")), "report.trace"
+    ),
+    "report-doubled-a-number": (
+        _edited_config("simulate", _set("report", "doubled_probabilities", 1)),
+        "report.doubled_probabilities",
+    ),
+    "sweep-threshold-a-list": (
+        _edited_config("sweep", _set("sweep", "threshold", [1]), SWEEP), "sweep.threshold"
+    ),
+    "sweep-threshold-a-string": (
+        _edited_config("sweep", _set("sweep", "threshold", "x"), SWEEP), "sweep.threshold"
+    ),
+    "sweep-threshold-nan": (
+        _edited_config("sweep", _set("sweep", "threshold", math.nan), SWEEP), "sweep.threshold"
+    ),
+    "sweep-negative-rabi": (
+        _edited_config("sweep", _set("sweep", "rabis", [-0.2, 0.2]), SWEEP), "sweep.rabis"
+    ),
+    "sweep-zero-spacing": (
+        _edited_config("sweep", _set("sweep", "spacings", [0.0, 100.0]), SWEEP), "sweep.spacings"
+    ),
+    "compare-negative-spacing": (
+        _edited_config("compare", _set("compare", "values", [-100.0, 100.0]), COMPARE),
+        "compare.values",
+    ),
+    "compare-without-rabi-or-k": (
+        _edited_config("compare", lambda d: d["gate"].pop("k"), COMPARE), "rabi or k"
+    ),
+    "compare-spacing-key": (
+        _edited_config("compare", _set("compare", "spacing", 100.0), COMPARE), "spacing"
+    ),
+    "compare-vary-rabi-with-k": (
+        _edited_config("compare", lambda d: d["compare"].update(vary="rabi", k=3), COMPARE),
+        "compare.k",
+    ),
+    "compare-vary-rabi-with-rabi": (
+        _edited_config(
+            "compare", lambda d: d["compare"].update(vary="rabi", values=[0.2], rabi=0.2), COMPARE
+        ),
+        "compare.rabi",
+    ),
     "jitter-bound-not-a-number": (
         lambda p: _jitter_config(p, {"first": 2, "last": 6, "bound": "x"}), "jitter.bound"
     ),
@@ -236,6 +344,16 @@ MALFORMED = {
     ),
     "non-numeric-axis-start": (
         lambda p: _sweep_config(p, {"start": "a", "stop": 2, "points": 3}), "number"
+    ),
+    "axis-fractional-points": (
+        lambda p: _sweep_config(p, {"start": 100.0, "stop": 200.0, "points": 2.5}), "points"
+    ),
+    "axis-points-a-string": (
+        lambda p: _sweep_config(p, {"start": 100.0, "stop": 200.0, "points": "3"}), "points"
+    ),
+    "axis-unknown-scale": (
+        lambda p: _sweep_config(p, {"start": 100.0, "stop": 200.0, "points": 3, "scale": "ln"}),
+        "scale",
     ),
     "non-numeric-axis-list-value": (
         lambda p: _sweep_config(p, [100.0, "a"]), "number"

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import spinpulse as sp
+from spinpulse.chain import RESONANCE_TOL, nearest_flip
 
 
 class TestRabiFor2pik:
@@ -53,9 +54,9 @@ class TestCnProtocol:
     def test_opening_pulse_is_resonant_on_the_ground_state(self):
         proto = sp.build_cn_protocol(self.CFG, rabi=0.2)
         opener = proto.pulses[0]
-        cls = sp.classify_transition(0, opener.frequency, self.CFG)
-        assert cls.kind is sp.TransitionKind.RESONANT
-        assert cls.spin == self.CFG.n_qubits - 1
+        spin = self.CFG.n_qubits - 1
+        assert nearest_flip(0, opener.frequency, self.CFG)[0] == spin
+        assert abs(abs(sp.flip_energy(0, spin, self.CFG)) - opener.frequency) < RESONANCE_TOL
         assert opener.area == pytest.approx(math.pi / 2)
 
     def test_pulse_count_for_large_chain(self):
@@ -73,9 +74,9 @@ class TestCnProtocol:
     def test_every_pi_pulse_resonant_on_its_path_state(self):
         cfg = sp.ChainConfig(n_qubits=9, larmor_spacing=50.0)
         proto = sp.build_cn_protocol(cfg, rabi=0.2)
-        for before, pulse in zip(proto.path, proto.pulses):
-            cls = sp.classify_transition(before, pulse.frequency, cfg)
-            assert cls.kind is sp.TransitionKind.RESONANT
+        for before, after, pulse in zip(proto.path, proto.path[1:], proto.pulses):
+            spin = (before ^ after).bit_length() - 1
+            assert abs(abs(sp.flip_energy(before, spin, cfg)) - pulse.frequency) < RESONANCE_TOL
 
     def test_path_flips_each_interior_spin_twice(self):
         n = 9

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import spinpulse as sp
 from spinpulse.error_model import _block_modes
 from spinpulse.exact_engine import diagonalize, rotating_diagonal
-from spinpulse.sparse_engine import SparseState
+from spinpulse.sparse_engine import PulsePairs, SparseState
 
 
 def two_level_closed_form(rabi, delta, tau, t0, start_lower):
@@ -199,7 +199,7 @@ class TestTwoLevelBlock:
         nu = sp.transition_frequency(state, 3, self.CFG)
         pulse = sp.Pulse(frequency=nu, rabi=0.2, duration=1.0)
         _, _, _, ((e_low, v_low), (e_high, v_high)) = _block_modes(
-            state, 0.0, pulse, self.CFG
+            state, 0.0, PulsePairs(pulse, self.CFG, 0.0)
         )
         assert np.allclose(np.abs(v_low), [1 / math.sqrt(2)] * 2, atol=1e-9)
         assert np.allclose(np.abs(v_high), [1 / math.sqrt(2)] * 2, atol=1e-9)
@@ -209,27 +209,27 @@ class TestTwoLevelBlock:
         rabi = 0.01
         nu = self.CFG.omega(2)  # ground-state detuning 2J
         pulse = sp.Pulse(frequency=nu, rabi=rabi, duration=1.0)
-        _, _, _, ((_, v_low), _) = _block_modes(0, 0.0, pulse, self.CFG)
+        _, _, _, ((_, v_low), _) = _block_modes(0, 0.0, PulsePairs(pulse, self.CFG, 0.0))
         assert v_low[1] == pytest.approx(rabi / 4.0, rel=1e-3)
         assert v_low[0] == pytest.approx(1.0 - rabi**2 / 32.0, rel=1e-6)
 
     def test_splitting_is_generalized_rabi(self):
         pulse = sp.Pulse(frequency=self.CFG.omega(2), rabi=0.3, duration=1.0)
-        _, _, _, ((e_low, _), (e_high, _)) = _block_modes(0, 0.0, pulse, self.CFG)
+        _, _, _, ((e_low, _), (e_high, _)) = _block_modes(0, 0.0, PulsePairs(pulse, self.CFG, 0.0))
         assert e_high - e_low == pytest.approx(math.hypot(0.3, 2.0), rel=1e-12)
 
     def test_non_resonant_state_is_its_own_block(self):
         pulse = sp.Pulse(frequency=self.CFG.omega(2) + 30.0, rabi=0.3, duration=1.0)
-        assert _block_modes(0, 1.5, pulse, self.CFG) == (
+        assert _block_modes(0, 1.5, PulsePairs(pulse, self.CFG, 0.0)) == (
             None, (0,), (1.5,), ((1.5, (1.0,)),)
         )
 
     def test_upper_level_has_same_block_with_members_swapped(self):
         upper = sp.state_from_string("00100")
         pulse = sp.Pulse(frequency=self.CFG.omega(2) + 1.5, rabi=0.3, duration=1.0)
-        spin, members, levels, modes = _block_modes(0, 0.0, pulse, self.CFG)
+        spin, members, levels, modes = _block_modes(0, 0.0, PulsePairs(pulse, self.CFG, 0.0))
         spin_u, members_u, levels_u, modes_u = _block_modes(
-            upper, levels[1], pulse, self.CFG
+            upper, levels[1], PulsePairs(pulse, self.CFG, 0.0)
         )
         assert (spin_u, members_u) == (spin, members[::-1])
         assert levels_u == pytest.approx(levels[::-1], abs=1e-12)

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
 from spinpulse import sparse_engine
-from spinpulse.chain import (
-    NEAR_RESONANT_MAX_J, RESONANCE_TOL, nearest_flip, pack_states, window_spins,
-)
+from spinpulse.chain import near_resonant_window, nearest_flip, pack_states, window_spins
+from spinpulse.error_model import _block_modes
 from spinpulse.sparse_engine import (
-    PACKED_MIN_STATES, PackedAmps, SparseState, apply_pulse, prune,
+    PACKED_MIN_STATES, PackedAmps, PulsePairs, SparseState, apply_pulse, prune,
 )
 
 CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=10.0, base_larmor=100.0)
@@ -32,7 +31,7 @@ def detuned_pulse(cfg, detuning, rabi, duration):
 def reference_apply_pulse(state, pulse, cfg):
     """The kernel as first written: one block computed per in-window state."""
     nu, rabi, tau, t0 = pulse.frequency, pulse.rabi, pulse.duration, state.time
-    window = NEAR_RESONANT_MAX_J * cfg.coupling + RESONANCE_TOL * cfg.coupling
+    window = near_resonant_window(cfg)
     spins = window_spins(nu, cfg)
     amps = state.amps
     new_amps = {}
@@ -68,6 +67,12 @@ def reference_apply_pulse(state, pulse, cfg):
         new_amps[m] = c_m * diag * ph_m + c_p * cross * ph_x.conjugate()
         new_amps[p] = c_p * diag.conjugate() * ph_m.conjugate() + c_m * cross * ph_x
     return SparseState(amps=new_amps, leaked=state.leaked, time=t0 + tau)
+
+
+def packed_apply_pulse(state, pulse, cfg):
+    """``apply_pulse`` with the packed kernel on every one-spin window."""
+    with mock.patch.object(sparse_engine, "PACKED_MIN_STATES", 1):
+        return apply_pulse(state, pulse, cfg)
 
 
 def outcome(kernel, state, pulse, cfg):
@@ -126,6 +131,26 @@ class TestKernelAgainstReference:
         assert packed == expected
         assert repr(packed) == repr(expected)  # signed zeros too
 
+    @given(kernel_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_first_order_blocks_are_the_kernels_pairs(self, inputs):
+        # error_model._block_modes reads the same rule as the kernels: each
+        # stored state's block holds exactly the states apply_pulse writes
+        # for it alone, or both raise AmbiguousTransitionError
+        state, pulse, cfg = inputs
+        pairs = PulsePairs(pulse, cfg, state.time)
+        for s in sorted(state.amps):
+            alone = SparseState({s: state.amps[s]}, time=state.time)
+            kernels = [apply_pulse, packed_apply_pulse, reference_apply_pulse]
+            try:
+                spin, members, _, _ = _block_modes(s, 0.0, pairs)
+            except sp.AmbiguousTransitionError:
+                assert [outcome(f, alone, pulse, cfg) for f in kernels] == ["ambiguous"] * 3
+                continue
+            assert members == ((s,) if spin is None else (s, s ^ (1 << spin)))
+            for kernel in kernels:
+                assert sorted(kernel(alone, pulse, cfg).amps) == sorted(members)
+
     def test_inputs_cover_both_window_kinds_and_ambiguity(self):
         # the strategy above reaches one-spin and multi-spin windows, and
         # pulses the two-level reduction must refuse
@@ -135,6 +160,15 @@ class TestKernelAgainstReference:
         state = SparseState(amps={0: 1.0 + 0j, 1 << 2: 0.5j, 0b101010: 0.3})
         assert outcome(reference_apply_pulse, state, pulse, cfg) == "ambiguous"
         assert outcome(apply_pulse, state, pulse, cfg) == "ambiguous"
+        # and empty windows: 7J off a spin's line, with spacing above 13J
+        cfg = sp.ChainConfig(n_qubits=6, larmor_spacing=20.0)
+        pulse = sp.Pulse(frequency=cfg.omega(3) + 7.0, rabi=0.2, duration=3.0)
+        assert window_spins(pulse.frequency, cfg) == []
+        pairs = PulsePairs(pulse, cfg, state.time)
+        assert [_block_modes(s, 0.0, pairs)[:2] for s in state.amps] == [
+            (None, (s,)) for s in state.amps
+        ]
+        assert outcome(apply_pulse, state, pulse, cfg)[0] == list(state.amps.items())
 
 
 class TestApplyPulse:
