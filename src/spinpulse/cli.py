@@ -2,8 +2,10 @@
 
 Every command reads a JSON run-config document with a versioned schema;
 unknown keys are rejected so a typo cannot silently corrupt a
-hundreds-of-pulses run.  Outputs are a JSON run report plus CSV tables
-ready for plotting; reruns with the same config and seed are byte-identical.
+hundreds-of-pulses run.  A run command writes the JSON run report (and the
+per-pulse trace table when traced); "analyze" derives the CSV tables and the
+band summary from a report.  Reruns with the same config and seed are
+byte-identical.
 
 Config document (version 1):
 
@@ -12,8 +14,7 @@ Config document (version 1):
       "chain":  {"n_qubits": 200, "larmor_spacing": 100.0,
                  "base_larmor": 1000.0, "coupling": 1.0, "cutoff": 1e-6},
       "gate":   {"type": "cn", "rabi": 0.14, "equal_epsilon": false},
-      "engine": {"kind": "perturbative", "max_qubits": 14,
-                 "step": null, "norm_tol": 1e-9},
+      "engine": {"max_qubits": 14, "step": null, "norm_tol": 1e-9},
       "report": {"doubled_probabilities": true, "trace": false},
       "seed": 0,
       "jitter": {"first": 10, "last": 40, "bound": 0.05},
@@ -22,9 +23,11 @@ Config document (version 1):
       "compare": {"vary": "spacing", "values": [...]}
     }
 
-Instead of "gate" a config may name an existing pulse file via
-"protocol_file".  The cutoff is interpreted in the reporting convention:
-with doubled probabilities the stored pruning threshold is cutoff/2.
+Instead of "gate" and "jitter" a config may name an existing pulse file
+via "protocol_file".  The command picks the engine: "simulate" runs the
+perturbative one, "simulate-exact" and "classical" the dense ones.  The
+cutoff is interpreted in the reporting convention: with doubled
+probabilities the stored pruning threshold is cutoff/2.
 "engine.max_qubits" caps both dense engines: it defaults to 14 for the
 exact engine and to 8 for the classical one.  It must be a positive
 integer, and "engine.step" (null for the default) and "engine.norm_tol"
@@ -32,7 +35,8 @@ positive finite numbers.  "gate.k" must be a positive integer, and
 "gate.rabi", the sweep threshold and every axis value positive finite
 numbers; flags are JSON true or false.
 "compare.rabi" or "compare.k" replaces the gate's under "vary": "spacing"
-and is refused under "vary": "rabi".
+and is refused under "vary": "rabi"; "compare" builds its own unjittered CN
+protocol at each value, so it refuses "jitter" and "protocol_file".
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ from .exceptions import ConfigError, QubitCapError, SpinPulseError
 from .oscillator import CLASSICAL_QUBIT_CAP, run_protocol_classical
 from .pulses import Protocol
 from .report import (
-    RunReport, UnwantedRecord, band_classify, excitation_profiles, phase_report,
-    records_csv,
+    RunReport, band_classify, excitation_profiles, phase_report, records_csv,
 )
 from .sparse_engine import SparseState, run_protocol
 
@@ -68,7 +71,7 @@ _SCHEMA = {
     "chain": {"n_qubits", "larmor_spacing", "base_larmor", "coupling", "cutoff"},
     "gate": {"type", "rabi", "k", "equal_epsilon"},
     "protocol_file": None,
-    "engine": {"kind", "max_qubits", "step", "norm_tol"},
+    "engine": {"max_qubits", "step", "norm_tol"},
     "report": {"doubled_probabilities", "trace"},
     "seed": None,
     "jitter": {"first", "last", "bound"},
@@ -125,20 +128,14 @@ def chain_from_config(doc: dict) -> ChainConfig:
 def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path, seed: int) -> Protocol:
     """The config's protocol file, or its gate with the jitter drawn from ``seed``."""
     if "protocol_file" in doc:
+        ignored = {"gate", "jitter"} & set(doc)
+        if ignored:
+            raise ConfigError(f"protocol_file cannot be combined with {sorted(ignored)}")
         return Protocol.load(config_dir / doc["protocol_file"])
     gate = doc.get("gate")
     if not gate:
         raise ConfigError("config needs a 'gate' section or a protocol_file")
-    if gate.get("type", "cn") != "cn":
-        raise ConfigError(f"unknown gate type {gate.get('type')!r}")
-    try:
-        protocol = build_cn_protocol(
-            cfg,
-            **_drive(gate, "gate"),
-            equal_epsilon=_flag(gate.get("equal_epsilon", True), "gate.equal_epsilon"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    protocol = _cn_protocol(cfg, gate, **_drive(gate, "gate"))
     jitter = doc.get("jitter")
     if jitter:
         for field in ("first", "last", "bound"):
@@ -155,6 +152,17 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path, seed: in
         except ValueError as exc:
             raise ConfigError(f"jitter (first {first}, last {last}, bound {bound!r}): {exc}")
     return protocol
+
+
+def _cn_protocol(cfg: ChainConfig, gate: dict, **drive) -> Protocol:
+    """The CN protocol that config section ``gate`` describes, at ``drive``'s rabi or k."""
+    if gate.get("type", "cn") != "cn":
+        raise ConfigError(f"unknown gate type {gate.get('type')!r}")
+    equal_epsilon = _flag(gate.get("equal_epsilon", True), "gate.equal_epsilon")
+    try:
+        return build_cn_protocol(cfg, **drive, equal_epsilon=equal_epsilon)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _axis_values(axis, name: str) -> list[float]:
@@ -243,6 +251,7 @@ def _run_engine(
     cutoff_raw: float,
     seed: int,
 ) -> RunReport:
+    """Run ``engine``, the run command's: "perturbative", "exact" or "classical"."""
     initial = SparseState.from_basis(0)
     engine_opts = doc.get("engine", {})
     run = dict(cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed)
@@ -253,14 +262,12 @@ def _run_engine(
             initial, protocol, cfg, **run,
             cap=_max_qubits(doc, DEFAULT_QUBIT_CAP),
         )
-    if engine == "classical":
-        return run_protocol_classical(
-            initial, protocol, cfg, **run,
-            cap=_max_qubits(doc, CLASSICAL_QUBIT_CAP),
-            step=_positive(engine_opts.get("step"), "engine.step", optional=True),
-            norm_tol=_positive(engine_opts.get("norm_tol", 1e-9), "engine.norm_tol"),
-        )
-    raise ConfigError(f"unknown engine {engine!r}")
+    return run_protocol_classical(
+        initial, protocol, cfg, **run,
+        cap=_max_qubits(doc, CLASSICAL_QUBIT_CAP),
+        step=_positive(engine_opts.get("step"), "engine.step", optional=True),
+        norm_tol=_positive(engine_opts.get("norm_tol", 1e-9), "engine.norm_tol"),
+    )
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -268,32 +275,8 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text)
 
 
-def _unwanted_outputs(report: RunReport, out_dir: Path) -> list[UnwantedRecord]:
-    """Write unwanted.csv, and bands.json when there are records; return them."""
-    records = report.unwanted_records()
-    _write(out_dir, "unwanted.csv", records_csv(records))
-    if records:
-        summary = band_classify(records)
-        bands = {
-            "split_gap_decades": summary.split_gap,
-            "bands": [
-                {"count": b.count, "low": b.low, "high": b.high, "median": b.median}
-                for b in summary.bands
-            ],
-        }
-        _write(out_dir, "bands.json", json.dumps(bands, indent=2) + "\n")
-    return records
-
-
-def _report_outputs(report: RunReport, out_dir: Path) -> list[UnwantedRecord]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.save(out_dir / "report.json")
-    if report.trace is not None:
-        _write(out_dir, "trace.csv", report.trace_csv())
-    return _unwanted_outputs(report, out_dir)
-
-
-def cmd_simulate(args, engine_override: str | None = None) -> int:
+def cmd_simulate(args, engine: str) -> int:
+    """Run ``engine`` on the config; write report.json, and trace.csv when traced."""
     doc = load_config(args.config)
     cfg = chain_from_config(doc)
     report_opts = doc.get("report", {})
@@ -305,17 +288,21 @@ def cmd_simulate(args, engine_override: str | None = None) -> int:
     if not 0.0 < cutoff < 1.0:
         raise ConfigError(f"--cutoff must lie in (0, 1), got {cutoff!r}")
     cutoff_raw = cutoff / 2.0 if doubled else cutoff
-    engine = engine_override or args.engine or doc.get("engine", {}).get("kind", "perturbative")
 
     protocol = protocol_from_config(doc, cfg, Path(args.config).parent, seed)
     report = _run_engine(
         engine, protocol, cfg, doc,
         doubled=doubled, trace=trace, cutoff_raw=cutoff_raw, seed=seed,
     )
-    records = _report_outputs(report, Path(args.out))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report.save(out_dir / "report.json")
+    if report.trace is not None:
+        _write(out_dir, "trace.csv", report.trace_csv())
+    unwanted = len(report.final_amps.keys() - report.wanted_states)
     print(
         f"{engine}: {len(protocol)} pulses, {len(report.final_amps)} stored states, "
-        f"{len(records)} unwanted, leaked {report.leaked:.3e}"
+        f"{unwanted} unwanted, leaked {report.leaked:.3e}"
         + (_UNMODELLED if engine == "perturbative" else "")
     )
     return 0
@@ -375,8 +362,12 @@ def cmd_compare(args) -> int:
     if not values:
         raise ConfigError("compare.values must be non-empty")
 
+    refused = {"jitter", "protocol_file"} & set(doc)
+    if refused:
+        raise ConfigError(
+            f"compare builds an unjittered CN protocol at each value; remove {sorted(refused)}"
+        )
     gate = doc.get("gate", {})
-    equal_epsilon = _flag(gate.get("equal_epsilon", True), "gate.equal_epsilon")
     # compare's rabi or k, else the gate's: under vary "spacing" exactly one is set
     drive = {**_drive(gate, "gate"), **_drive(comp, "compare")}
     if vary == "rabi" and {"rabi", "k"} & set(comp):
@@ -392,7 +383,7 @@ def cmd_compare(args) -> int:
         else:
             cfg_i = cfg
             rabi, k = value, None
-        protocol = build_cn_protocol(cfg_i, rabi=rabi, k=k, equal_epsilon=equal_epsilon)
+        protocol = _cn_protocol(cfg_i, gate, rabi=rabi, k=k)
         base_rabi = protocol.pulses[0].rabi
         report = run_protocol_exact(
             SparseState.from_basis(0), protocol, cfg_i, cutoff=1e-300, cap=cap
@@ -409,15 +400,23 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Write unwanted.csv; bands.json and profiles.csv when there are unwanted
+    records; and phase.json when asked for."""
     report = RunReport.load(args.report)
     out_dir = Path(args.out)
-    records = _unwanted_outputs(report, out_dir)
+    records = report.unwanted_records()
+    _write(out_dir, "unwanted.csv", records_csv(records))
     if records:
-        profiles = excitation_profiles(records, report.chain)
-        rows = ["state,flips,energy_above_ground,energy_class"]
+        summary = band_classify(records)
+        bands = {
+            "split_gap_decades": summary.split_gap,
+            "bands": [asdict(b) for b in summary.bands],
+        }
+        _write(out_dir, "bands.json", json.dumps(bands, indent=2) + "\n")
+        rows = ["state,flips,energy_above_ground"]
         rows += [
-            f"{p.bitstring},{p.flips},{p.energy_above_ground!r},{p.energy_class}"
-            for p in profiles
+            f"{p.bitstring},{p.flips},{p.energy_above_ground!r}"
+            for p in excitation_profiles(records, report.chain)
         ]
         _write(out_dir, "profiles.csv", "\n".join(rows) + "\n")
     if args.phase_with:
@@ -455,22 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
 
     for name, engine, help_text in (
-        ("simulate", None, "run the sparse perturbative engine"),
+        ("simulate", "perturbative", "run the sparse perturbative engine"),
         ("simulate-exact", "exact", "run the exact dense engine"),
         ("classical", "classical", "run the oscillator-pair engine"),
     ):
         p_run = sub.add_parser(name, help=help_text)
         add_common(p_run)
-        if engine is None:
-            p_run.add_argument("--engine", choices=["perturbative", "exact", "classical"])
         p_run.add_argument("--cutoff", type=float)
         p_run.add_argument("--doubled-probabilities", action="store_true")
         p_run.add_argument("--seed", type=int)
         p_run.add_argument("--trace", action="store_true")
-        p_run.set_defaults(
-            func=lambda a, engine=engine: cmd_simulate(a, engine_override=engine),
-            engine=None,
-        )
+        p_run.set_defaults(func=lambda a, engine=engine: cmd_simulate(a, engine))
 
     p_des = sub.add_parser("design", help="build a gate protocol file")
     add_common(p_des)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,8 +18,9 @@ class Pulse:
 
     ``frequency`` is the drive frequency, ``rabi`` the drive strength, and
     ``duration`` the length; rabi * duration = pi for a pi-pulse and pi/2
-    for a pi/2-pulse.  Every pulse has drive phase zero: no engine models
-    another one.
+    for a pi/2-pulse.  All three are finite real numbers, rabi and duration
+    positive; the frequency may be zero or negative.  Every pulse has drive
+    phase zero: no engine models another one.
     """
 
     frequency: float
@@ -27,6 +29,11 @@ class Pulse:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("frequency", "rabi", "duration"):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.rabi <= 0:
             raise ValueError(f"rabi must be positive, got {self.rabi}")
         if self.duration <= 0:
@@ -100,7 +107,7 @@ class Protocol:
             raise ConfigError("non-zero pulse phase is not modelled by any engine")
         try:
             pulses = tuple(Pulse(**entry) for entry in entries)
-        except TypeError as exc:  # a missing or unknown key, or a wrong value type
+        except (TypeError, ValueError) as exc:  # a missing or unknown key, or a bad value
             raise ConfigError(f"bad pulse entry: {exc}")
         return cls(
             pulses=pulses,

@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
 
+import numpy as np
+
 from .chain import ChainConfig, basis_energies, basis_energy, flip_count, state_to_string
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
@@ -245,8 +247,18 @@ def records_csv(records: list[UnwantedRecord]) -> str:
     return buf.getvalue()
 
 
+# From this many states on, numpy's fixed cost per call is cheaper than the
+# per-state sum (measured: ~3 us against ~0.35 us a state).
+_ARRAY_MIN_STATES = 32
+
+
 def _probability(amps: Mapping[int, complex]) -> float:
-    return math.fsum(c.real * c.real + c.imag * c.imag for c in amps.values())
+    """The stored probability: the exact sum of the per-state |C|^2, rounded
+    once by ``math.fsum``, so both branches give the same bits."""
+    if len(amps) < _ARRAY_MIN_STATES:
+        return math.fsum(c.real * c.real + c.imag * c.imag for c in amps.values())
+    c = np.fromiter(amps.values(), complex, len(amps))
+    return math.fsum((c.real * c.real + c.imag * c.imag).tolist())
 
 
 def reporting_cutoff(cfg: ChainConfig, cutoff: float | None) -> float:
@@ -389,7 +401,6 @@ class Band:
     low: float
     high: float
     median: float
-    histogram: tuple[tuple[float, int], ...]
 
 
 @dataclass(frozen=True)
@@ -402,19 +413,11 @@ def _band_from_logs(logs: list[float]) -> Band:
     logs = sorted(logs)
     n = len(logs)
     median = logs[n // 2] if n % 2 else 0.5 * (logs[n // 2 - 1] + logs[n // 2])
-    bin_width = 0.25
-    start = math.floor(logs[0] / bin_width) * bin_width
-    counts: dict[float, int] = {}
-    for v in logs:
-        left = start + bin_width * math.floor((v - start) / bin_width)
-        counts[left] = counts.get(left, 0) + 1
-    histogram = tuple(sorted(counts.items()))
     return Band(
         count=n,
         low=10.0 ** logs[0],
         high=10.0 ** logs[-1],
         median=10.0 ** median,
-        histogram=histogram,
     )
 
 
@@ -451,39 +454,22 @@ class ExcitationProfile:
     bitstring: str
     flips: int
     energy_above_ground: float
-    energy_class: str
 
 
 def excitation_profiles(
     records: list[UnwantedRecord], cfg: ChainConfig
 ) -> list[ExcitationProfile]:
-    """Per-record spin pattern and energy class (terciles of the record set)."""
-    if not records:
-        return []
+    """Per-record spin pattern and energy above the all-zeros ground state."""
     ground = basis_energy(0, cfg)
-    energies = sorted(r.energy - ground for r in records)
-    n = len(energies)
-    lo_cut = energies[max(0, math.ceil(n / 3) - 1)]
-    hi_cut = energies[max(0, math.ceil(2 * n / 3) - 1)]
-    profiles = []
-    for r in records:
-        rel = r.energy - ground
-        if rel <= lo_cut:
-            cls = "low"
-        elif rel <= hi_cut:
-            cls = "intermediate"
-        else:
-            cls = "high"
-        profiles.append(
-            ExcitationProfile(
-                state=r.state,
-                bitstring=r.bitstring,
-                flips=r.flips,
-                energy_above_ground=rel,
-                energy_class=cls,
-            )
+    return [
+        ExcitationProfile(
+            state=r.state,
+            bitstring=r.bitstring,
+            flips=r.flips,
+            energy_above_ground=r.energy - ground,
         )
-    return profiles
+        for r in records
+    ]
 
 
 # -- phase comparison --------------------------------------------------------

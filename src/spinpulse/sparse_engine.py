@@ -78,7 +78,9 @@ PACKED_MIN_STATES = 150
 
 class PackedAmps(Mapping):
     """Amplitudes of S states as arrays: ``rows`` from ``chain.pack_states``,
-    ``re`` and ``im``.  Mapping access builds an int-keyed dict on first use."""
+    ``re`` and ``im``.  ``values`` and ``get``, which a traced run calls every
+    pulse, read the arrays; other mapping access builds an int-keyed dict on
+    first use."""
 
     def __init__(self, rows: np.ndarray, re: np.ndarray, im: np.ndarray):
         self.rows, self.re, self.im = rows, re, im
@@ -99,6 +101,19 @@ class PackedAmps(Mapping):
             states = [int.from_bytes(b, "little") for b in self.state_bytes()]
             self._dict = dict(zip(states, map(complex, self.re.tolist(), self.im.tolist())))
         return self._dict
+
+    def values(self) -> list[complex]:
+        c = np.empty(len(self.re), complex)
+        c.real, c.imag = self.re, self.im
+        return c.tolist()
+
+    def get(self, state: int, default=None):
+        try:
+            key = state.to_bytes(8 * self.rows.shape[1], "little")
+        except (AttributeError, OverflowError):  # not an int, or wider than the rows
+            return default
+        hit = np.flatnonzero(self.rows.view(f"S{len(key)}").ravel() == key)
+        return complex(self.re[hit[0]], self.im[hit[0]]) if len(hit) else default
 
     def __getitem__(self, state: int) -> complex:
         return self.as_dict()[state]

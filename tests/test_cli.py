@@ -1,11 +1,15 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import spinpulse as sp
 from spinpulse.cli import main
+from spinpulse.report import records_csv
+
+ANALYSIS_FILES = ("unwanted.csv", "bands.json", "profiles.csv")
 
 
 def write_config(path: Path, doc: dict) -> Path:
@@ -32,21 +36,22 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg_path), "--out", str(out),
                      "--trace"])
         assert code == 0
-        assert (out / "report.json").exists()
-        assert (out / "unwanted.csv").exists()
-        assert (out / "trace.csv").exists()
-        assert (out / "bands.json").exists()
         report = sp.RunReport.load(out / "report.json")
         assert report.engine == "perturbative"
         assert report.probability(0) > 0.4
+        assert (out / "trace.csv").read_text() == report.trace_csv()
 
     def test_reruns_are_byte_identical(self, tmp_path):
+        # of simulate, and of analyze on each rerun's report
         cfg_path = write_config(tmp_path, base_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_a)]) == 0
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_b)]) == 0
-        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
-        assert (out_a / "unwanted.csv").read_bytes() == (out_b / "unwanted.csv").read_bytes()
+        for out in (out_a, out_b):
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert main(["analyze", "--report", str(out / "report.json"),
+                         "--out", str(out / "analysis")]) == 0
+        names = ["report.json"] + [f"analysis/{f}" for f in ANALYSIS_FILES]
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_doubled_cutoff_prunes_at_half(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -106,8 +111,7 @@ class TestSimulate:
         }
         cfg_path = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
-                     "--engine", "exact"]) == 0
+        assert main(["simulate-exact", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert sp.RunReport.load(out / "report.json").engine == "exact"
 
     def test_jitter_section_uses_seed(self, tmp_path):
@@ -196,16 +200,23 @@ def _sweep_config(tmp_path, spacings):
     return "sweep", write_config(tmp_path, doc)
 
 
-def _protocol_file_config(tmp_path, edit):
+def _protocol_file_config(tmp_path, edit, command="simulate", **sections):
+    """A 5-qubit CN protocol file as edited by ``edit``, and a config naming it."""
     chain = sp.ChainConfig(n_qubits=5, larmor_spacing=100.0)
     doc = sp.build_cn_protocol(chain, rabi=0.3).to_dict()
     edit(doc)
     (tmp_path / "protocol.json").write_text(json.dumps(doc))
-    return "simulate", write_config(tmp_path, {
+    return command, write_config(tmp_path, {
         "version": 1,
         "chain": {"n_qubits": 5, "larmor_spacing": 100.0},
         "protocol_file": "protocol.json",
+        **sections,
     })
+
+
+def _third_pulse(field, value):
+    """Edits a protocol file's third pulse to carry ``value`` as ``field``."""
+    return lambda p: _protocol_file_config(p, lambda d: d["pulses"][2].update({field: value}))
 
 
 def _jitter_config(tmp_path, jitter, seed=0):
@@ -358,6 +369,48 @@ MALFORMED = {
     "non-numeric-axis-list-value": (
         lambda p: _sweep_config(p, [100.0, "a"]), "number"
     ),
+    "pulse-frequency-a-string": (_third_pulse("frequency", "abc"), "frequency"),
+    "pulse-frequency-infinite": (_third_pulse("frequency", math.inf), "frequency"),
+    "pulse-frequency-nan": (_third_pulse("frequency", math.nan), "frequency"),
+    "pulse-rabi-nan": (_third_pulse("rabi", math.nan), "rabi"),
+    "pulse-rabi-infinite": (_third_pulse("rabi", math.inf), "rabi"),
+    "pulse-duration-nan": (_third_pulse("duration", math.nan), "duration"),
+    "pulse-duration-infinite": (_third_pulse("duration", math.inf), "duration"),
+    "protocol-file-with-gate": (
+        lambda p: _protocol_file_config(p, lambda d: None, gate={"type": "cn", "rabi": 0.3}),
+        "gate",
+    ),
+    "protocol-file-with-jitter": (
+        lambda p: _protocol_file_config(
+            p, lambda d: None, jitter={"first": 2, "last": 6, "bound": 0.02}
+        ),
+        "jitter",
+    ),
+    "design-protocol-file-with-gate": (
+        lambda p: _protocol_file_config(
+            p, lambda d: None, "design", gate={"type": "cn", "rabi": 0.3}
+        ),
+        "gate",
+    ),
+    "compare-unknown-gate-type": (
+        _edited_config("compare", _set("gate", "type", "xyz"), COMPARE), "gate type"
+    ),
+    "compare-with-jitter": (
+        _edited_config(
+            "compare", lambda d: d.update(jitter={"first": 1, "last": 2, "bound": 0.01}), COMPARE
+        ),
+        "jitter",
+    ),
+    "compare-with-protocol-file": (
+        lambda p: _protocol_file_config(p, lambda d: None, "compare", **{
+            key: COMPARE[key] for key in ("gate", "compare")
+        }),
+        "protocol_file",
+    ),
+    "compare-on-two-qubits": (
+        _edited_config("compare", _set("chain", "n_qubits", 2), COMPARE), "qubits"
+    ),
+    "engine-kind": (_edited_config("simulate", _set("engine", "kind", "exact")), "kind"),
 }
 
 
@@ -539,11 +592,65 @@ class TestAnalyze:
         analysis = tmp_path / "analysis"
         assert main(["analyze", "--report", str(out / "report.json"),
                      "--out", str(analysis)]) == 0
-        table = (out / "unwanted.csv").read_text()
+        report = sp.RunReport.load(out / "report.json")
+        records = report.unwanted_records()
+        table = (analysis / "unwanted.csv").read_text()
         assert table.count("\n") > 10
-        assert table == sp.RunReport.load(out / "report.json").unwanted_csv()
-        for name in ("unwanted.csv", "bands.json"):
-            assert (analysis / name).read_bytes() == (out / name).read_bytes()
+        assert table == records_csv(records) == report.unwanted_csv()
+        summary = sp.band_classify(records)
+        assert json.loads((analysis / "bands.json").read_text()) == {
+            "split_gap_decades": summary.split_gap,
+            "bands": [asdict(band) for band in summary.bands],
+        }
+        ground = sp.basis_energy(0, report.chain)
+        rows = (analysis / "profiles.csv").read_text().splitlines()
+        assert rows[0] == "state,flips,energy_above_ground"
+        assert rows[1:] == [f"{r.bitstring},{r.flips},{r.energy - ground!r}" for r in records]
+
+
+DENSE = {
+    "version": 1,
+    "chain": {"n_qubits": 3, "larmor_spacing": 10.0, "base_larmor": 15.0},
+    "gate": {"type": "cn", "rabi": 0.5, "equal_epsilon": True},
+}
+RUN_FILES = {"report.json"}
+
+# case -> (command, config, flags, the files the command writes); analyze reads
+# the traced simulate report of its config, which ``{report}`` names
+OUTPUTS = {
+    "simulate": ("simulate", base_config(), [], RUN_FILES),
+    "simulate-traced": ("simulate", base_config(), ["--trace"], RUN_FILES | {"trace.csv"}),
+    "simulate-exact": ("simulate-exact", DENSE, [], RUN_FILES),
+    "simulate-exact-traced": ("simulate-exact", DENSE, ["--trace"], RUN_FILES | {"trace.csv"}),
+    "classical": ("classical", DENSE, [], RUN_FILES),
+    "classical-traced": ("classical", DENSE, ["--trace"], RUN_FILES | {"trace.csv"}),
+    "analyze": ("analyze", base_config(), [], set(ANALYSIS_FILES)),
+    # at the 2*pi*k points no unwanted state stays above the cutoff
+    "analyze-without-records": (
+        "analyze", base_config(gate={"type": "cn", "k": 3}), [], {"unwanted.csv"}
+    ),
+    "analyze-with-phase": (
+        "analyze", base_config(), ["--phase-with", "{report}"], {*ANALYSIS_FILES, "phase.json"}
+    ),
+    "design": ("design", base_config(), [], {"protocol.json"}),
+    "sweep": ("sweep", SWEEP, [], {"regions.csv", "intervals.json"}),
+    "compare": ("compare", COMPARE, [], {"compare.csv"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUTS))
+def test_each_artifact_has_one_producer(tmp_path, case):
+    command, doc, flags, files = OUTPUTS[case]
+    source = ["--config", str(write_config(tmp_path, doc))]
+    if command == "analyze":
+        run = tmp_path / "run"
+        assert main(["simulate", *source, "--out", str(run), "--trace"]) == 0
+        report = str(run / "report.json")
+        source = ["--report", report]
+        flags = [flag.format(report=report) for flag in flags]
+    out = tmp_path / "out"
+    assert main([command, *source, "--out", str(out), *flags]) == 0
+    assert {path.name for path in out.iterdir()} == files
 
 
 @pytest.mark.parametrize("command", ["simulate", "simulate-exact"])

@@ -469,6 +469,18 @@ class TestPackedRuns:
         assert report.leaked == leaked
         assert list(report.generation.items()) == generation
 
+    def test_traced_run_equals_the_loops_trace(self, monkeypatch):
+        # trace rows read off packed rows: norm, state count and the reference
+        # amplitude equal those of the same run on the per-state loop
+        cfg = sp.ChainConfig(n_qubits=70, larmor_spacing=100.0)
+        proto = sp.build_cn_protocol(cfg, rabi=0.14, equal_epsilon=False)
+        packed = sp.run_protocol(SparseState.from_basis(0), proto, cfg, cutoff=5e-7, trace=True)
+        assert max(e.n_states for e in packed.trace) > PACKED_MIN_STATES
+        monkeypatch.setattr(sparse_engine, "PACKED_MIN_STATES", math.inf)
+        loop = sp.run_protocol(SparseState.from_basis(0), proto, cfg, cutoff=5e-7, trace=True)
+        assert repr(packed.trace) == repr(loop.trace)
+        assert packed.trace_csv() == loop.trace_csv()
+
 
 class TestPackedRows:
     @pytest.mark.parametrize("words", [1, 2, 4, 16])
@@ -496,3 +508,12 @@ class TestPackedRows:
         assert packed.state_bytes() == shortest
         assert list(packed.items()) == [(s, 1j) for s in states]
         assert len(packed) == 4
+
+    def test_values_and_get_read_the_rows(self):
+        amps = {0: -0.0 + 0.5j, 1 << 64: 0.25 - 0.0j, (1 << 129) | 5: -1e-300 + 3j, 256: 1j}
+        packed = PackedAmps.pack(amps, 130)
+        assert repr(list(packed.values())) == repr(list(amps.values()))
+        for state in list(amps) + [1, 1 << 129, 1 << 192, -1, 2.0, None]:
+            assert repr(packed.get(state)) == repr(amps.get(state))
+        assert packed.get(7, 0j) == 0j
+        assert packed._dict is None  # neither built the int-keyed dict
