@@ -3,9 +3,9 @@
 Every command reads a JSON run-config document with a versioned schema;
 unknown keys are rejected so a typo cannot silently corrupt a
 hundreds-of-pulses run.  A run command writes the JSON run report (and the
-per-pulse trace table when traced); "analyze" derives the CSV tables and the
-band summary from a report.  Reruns with the same config and seed are
-byte-identical.
+per-pulse trace table when traced); "analyze" derives the unwanted-state
+table and the band summary from a report.  Reruns with the same config and
+seed are byte-identical.
 
 Config document (version 1):
 
@@ -24,8 +24,10 @@ Config document (version 1):
     }
 
 Instead of "gate" and "jitter" a config may name an existing pulse file
-via "protocol_file".  The command picks the engine: "simulate" runs the
-perturbative one, "simulate-exact" and "classical" the dense ones.  The
+via "protocol_file"; every state on its path must fit the chain, and the
+run starts at the path's first state (basis state 0 without a path).  The
+command picks the engine: "simulate" runs the perturbative one,
+"simulate-exact" and "classical" the dense ones.  The
 cutoff is interpreted in the reporting convention: with doubled
 probabilities the stored pruning threshold is cutoff/2.
 "engine.max_qubits" caps both dense engines: it defaults to 14 for the
@@ -131,7 +133,12 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path, seed: in
         ignored = {"gate", "jitter"} & set(doc)
         if ignored:
             raise ConfigError(f"protocol_file cannot be combined with {sorted(ignored)}")
-        return Protocol.load(config_dir / doc["protocol_file"])
+        protocol = Protocol.load(config_dir / doc["protocol_file"])
+        if max(protocol.path, default=0) >> cfg.n_qubits:
+            raise ConfigError(
+                f"protocol path state {max(protocol.path)} does not fit in {cfg.n_qubits} qubits"
+            )
+        return protocol
     gate = doc.get("gate")
     if not gate:
         raise ConfigError("config needs a 'gate' section or a protocol_file")
@@ -251,8 +258,9 @@ def _run_engine(
     cutoff_raw: float,
     seed: int,
 ) -> RunReport:
-    """Run ``engine``, the run command's: "perturbative", "exact" or "classical"."""
-    initial = SparseState.from_basis(0)
+    """Run ``engine``, the run command's: "perturbative", "exact" or "classical",
+    from the protocol's initial state."""
+    initial = SparseState.from_basis(protocol.initial_state)
     engine_opts = doc.get("engine", {})
     run = dict(cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed)
     if engine == "perturbative":
@@ -385,11 +393,10 @@ def cmd_compare(args) -> int:
             rabi, k = value, None
         protocol = _cn_protocol(cfg_i, gate, rabi=rabi, k=k)
         base_rabi = protocol.pulses[0].rabi
+        ground, target = protocol.initial_state, protocol.target_state
         report = run_protocol_exact(
-            SparseState.from_basis(0), protocol, cfg_i, cutoff=1e-300, cap=cap
+            SparseState.from_basis(ground), protocol, cfg_i, cutoff=1e-300, cap=cap
         )
-        ground = protocol.initial_state
-        target = protocol.target_state
         p_exact = 1.0 - report.probability(ground) - report.probability(target)
         p_formula = total_error(cfg_i, base_rabi).probability
         lines.append(f"{value!r},{p_exact!r},{p_formula!r}")
@@ -400,12 +407,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Write unwanted.csv; bands.json and profiles.csv when there are unwanted
-    records; and phase.json when asked for."""
+    """Write unwanted.csv; bands.json when there are unwanted records; and
+    phase.json when asked for."""
     report = RunReport.load(args.report)
     out_dir = Path(args.out)
     records = report.unwanted_records()
-    _write(out_dir, "unwanted.csv", records_csv(records))
+    above_ground = excitation_profiles(records, report.chain)
+    _write(out_dir, "unwanted.csv", records_csv(records, above_ground))
     if records:
         summary = band_classify(records)
         bands = {
@@ -413,12 +421,6 @@ def cmd_analyze(args) -> int:
             "bands": [asdict(b) for b in summary.bands],
         }
         _write(out_dir, "bands.json", json.dumps(bands, indent=2) + "\n")
-        rows = ["state,flips,energy_above_ground"]
-        rows += [
-            f"{p.bitstring},{p.flips},{p.energy_above_ground!r}"
-            for p in excitation_profiles(records, report.chain)
-        ]
-        _write(out_dir, "profiles.csv", "\n".join(rows) + "\n")
     if args.phase_with:
         other = RunReport.load(args.phase_with)
         dev = phase_report(report, other)
@@ -478,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_ana = sub.add_parser("analyze", help="bands, profiles, phases of a report")
+    p_ana = sub.add_parser("analyze", help="unwanted states, bands and phases of a report")
     p_ana.add_argument("--report", required=True, help="report.json path")
     p_ana.add_argument("--phase-with", help="second report.json for phase comparison")
     p_ana.add_argument("--out", required=True)

@@ -31,8 +31,7 @@ class Pulse:
     def __post_init__(self):
         for name in ("frequency", "rabi", "duration"):
             value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
+            if _finite(value) is None:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.rabi <= 0:
             raise ValueError(f"rabi must be positive, got {self.rabi}")
@@ -50,7 +49,8 @@ class Protocol:
 
     ``path`` annotates the intended resonant trajectory: path[i] is the basis
     state the on-path amplitude occupies before pulse i, so pulse i moves
-    path[i] -> path[i+1].  ``detunings`` lists each pulse's detuning from the
+    path[i] -> path[i+1].  A run starts at path[0], or at basis state 0
+    without a path.  ``detunings`` lists each pulse's detuning from the
     nearest transition of the all-zeros state, which is what the error
     budget and phase bookkeeping need.  Both are empty for ad-hoc sequences.
     """
@@ -64,8 +64,9 @@ class Protocol:
         return len(self.pulses)
 
     @property
-    def initial_state(self) -> int | None:
-        return self.path[0] if self.path else None
+    def initial_state(self) -> int:
+        """The basis state a run starts from: path[0], or 0 without a path."""
+        return self.path[0] if self.path else 0
 
     @property
     def target_state(self) -> int | None:
@@ -90,6 +91,10 @@ class Protocol:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Protocol":
+        """The protocol of a document as ``to_dict`` writes it; ConfigError
+        naming the field if a field is missing or malformed."""
+        if not isinstance(data, dict):
+            raise ConfigError("protocol must be a JSON object")
         if data.get("version") != PROTOCOL_FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported protocol format version {data.get('version')!r}"
@@ -109,11 +114,14 @@ class Protocol:
             pulses = tuple(Pulse(**entry) for entry in entries)
         except (TypeError, ValueError) as exc:  # a missing or unknown key, or a bad value
             raise ConfigError(f"bad pulse entry: {exc}")
+        gate = data.get("gate", "")
+        if not isinstance(gate, str):
+            raise ConfigError(f"protocol gate must be a string, got {gate!r}")
         return cls(
             pulses=pulses,
-            gate=data.get("gate", ""),
-            path=tuple(int(s) for s in data.get("path", [])),
-            detunings=tuple(float(d) for d in data.get("detunings", [])),
+            gate=gate,
+            path=_entries(data, "path", _basis_state, "non-negative integers"),
+            detunings=_entries(data, "detunings", _finite, "finite numbers"),
         )
 
     def save(self, path: str | Path) -> None:
@@ -122,6 +130,39 @@ class Protocol:
     @classmethod
     def load(cls, path: str | Path) -> "Protocol":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _basis_state(value) -> int | None:
+    """A path entry: a decimal string (as ``to_dict`` writes it) or a non-negative
+    int; None otherwise."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    return None
+
+
+def _finite(value) -> float | None:
+    """A finite real number (a pulse field or a detuning) as a float; None otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _entries(data: dict, field: str, parse, kind: str) -> tuple:
+    """The list ``data[field]`` (empty if absent), each entry read by ``parse``."""
+    values = data.get(field, [])
+    if not isinstance(values, list):
+        raise ConfigError(f"protocol {field} must be a list, got {values!r}")
+    parsed = tuple(map(parse, values))
+    if None in parsed:
+        bad = values[parsed.index(None)]
+        raise ConfigError(f"protocol {field} entries must be {kind}, got {bad!r}")
+    return parsed
 
 
 def as_protocol(pulses: Protocol | list[Pulse] | tuple[Pulse, ...]) -> Protocol:

@@ -3,10 +3,12 @@
 A RunReport is the common output of every engine.  It carries the final
 sparse amplitudes, the probability removed by pruning (or left below the
 reporting cutoff for dense engines), the first-crossing pulse index of every
-state that ever held probability above the cutoff, and enough provenance to
-reproduce the run byte for byte.  Reports serialize to JSON (lossless float
-round trip) and to CSV tables for plotting.  The JSON keeps the first-crossing
-pulse of the final states only, the part of the ledger that anything reads.
+state that ever held probability above the cutoff, the Protocol that was run,
+and enough provenance to reproduce the run byte for byte.  Reports serialize
+to JSON (lossless float round trip); the JSON keeps the first-crossing pulse
+of the final states only, the part of the ledger that anything reads.  Each
+fact has one copy: the unwanted states are one CSV table (``records_csv``),
+one row per state, with its energy above ground as the last column.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class RunReport:
     doubled: bool = False
     prune_cutoff: float | None = None
     seed: int | None = None
-    protocol: dict | None = None
+    protocol: Protocol | None = None
     trace: list[TraceEntry] | None = None
     config_hash: str = ""
 
@@ -94,12 +96,10 @@ class RunReport:
 
     @property
     def wanted_states(self) -> frozenset[int]:
-        if not self.protocol:
+        """The protocol's initial and target states; none without a path."""
+        if self.protocol is None or not self.protocol.path:
             return frozenset()
-        path = self.protocol.get("path") or []
-        if not path:
-            return frozenset()
-        return frozenset({int(path[0]), int(path[-1])})
+        return frozenset({self.protocol.initial_state, self.protocol.target_state})
 
     def unwanted_records(self) -> list[UnwantedRecord]:
         """Final states above cutoff that are not protocol targets, in
@@ -144,7 +144,7 @@ class RunReport:
             "doubled": self.doubled,
             "prune_cutoff": self.prune_cutoff,
             "seed": self.seed,
-            "protocol": self.protocol,
+            "protocol": None if self.protocol is None else self.protocol.to_dict(),
             "trace": None
             if self.trace is None
             else [
@@ -165,38 +165,30 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
+        """The report of a document as ``to_dict`` writes it; ConfigError
+        naming the field if a field is missing or malformed."""
+        if not isinstance(data, dict):
+            raise ConfigError("report must be a JSON object")
         # Version 1 stored the whole first-crossing ledger; it loads as is.
         if data.get("version") not in (1, REPORT_FORMAT_VERSION):
             raise ConfigError(f"unsupported report version {data.get('version')!r}")
-        trace = None
-        if data.get("trace") is not None:
-            trace = [
-                TraceEntry(
-                    pulse_index=row[0],
-                    time=row[1],
-                    norm=row[2],
-                    leaked=row[3],
-                    n_states=row[4],
-                    reference_amplitude=None
-                    if row[5] is None
-                    else complex(row[5][0], row[5][1]),
-                )
-                for row in data["trace"]
-            ]
         return cls(
-            engine=data["engine"],
-            chain=ChainConfig(**data["chain"]),
-            final_amps={
-                int(s): complex(re, im) for s, re, im in data["final_amps"]
-            },
-            leaked=data["leaked"],
-            time=data["time"],
-            generation={int(s): g for s, g in data["generation"].items()},
-            doubled=data["doubled"],
+            engine=_field(data, "engine"),
+            chain=_field(data, "chain", lambda chain: ChainConfig(**chain)),
+            final_amps=_field(
+                data, "final_amps",
+                lambda rows: {int(s): complex(re, im) for s, re, im in rows},
+            ),
+            leaked=_field(data, "leaked"),
+            time=_field(data, "time"),
+            generation=_field(
+                data, "generation", lambda ledger: {int(s): g for s, g in ledger.items()}
+            ),
+            doubled=_field(data, "doubled"),
             prune_cutoff=data.get("prune_cutoff"),
             seed=data.get("seed"),
-            protocol=data.get("protocol"),
-            trace=trace,
+            protocol=_field(data, "protocol", Protocol.from_dict, optional=True),
+            trace=_field(data, "trace", _trace_rows, optional=True),
             config_hash=data.get("config_hash", ""),
         )
 
@@ -206,10 +198,6 @@ class RunReport:
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def unwanted_csv(self) -> str:
-        """CSV of unwanted states: bitstring, probability, generation, energy, flips."""
-        return records_csv(self.unwanted_records())
 
     def trace_csv(self) -> str:
         if self.trace is None:
@@ -235,14 +223,44 @@ class RunReport:
         return buf.getvalue()
 
 
-def records_csv(records: list[UnwantedRecord]) -> str:
-    """CSV table of unwanted records, one row each in the given order."""
+def _field(data: dict, name: str, parse=None, *, optional: bool = False):
+    """Report field ``name`` read by ``parse``, None if ``optional`` and absent
+    or null; ConfigError naming the field if it is missing or malformed."""
+    value = data.get(name)
+    if value is None:
+        if optional:
+            return None
+        raise ConfigError(f"report needs the field {name!r}")
+    if parse is None:
+        return value
+    try:
+        return parse(value)
+    except (ConfigError, AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad report field {name!r}: {exc}") from None
+
+
+def _trace_rows(rows: list) -> list[TraceEntry]:
+    return [
+        TraceEntry(*row[:5], None if row[5] is None else complex(row[5][0], row[5][1]))
+        for row in rows
+    ]
+
+
+def records_csv(records: list[UnwantedRecord], above_ground: list[float]) -> str:
+    """CSV table of unwanted records, one row each in the given order.
+
+    ``above_ground`` holds each record's energy above the all-zeros ground
+    state, as ``excitation_profiles`` returns it; it is the last column.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state", "probability", "generation_pulse", "energy", "flips"])
-    for r in records:
+    writer.writerow(
+        ["state", "probability", "generation_pulse", "energy", "flips", "energy_above_ground"]
+    )
+    for r, above in zip(records, above_ground, strict=True):
         writer.writerow(
-            [r.bitstring, repr(r.probability), r.generation, repr(r.energy), r.flips]
+            [r.bitstring, repr(r.probability), r.generation, repr(r.energy), r.flips,
+             repr(above)]
         )
     return buf.getvalue()
 
@@ -319,7 +337,7 @@ def run_pulses(
     above the cutoff, 0 for the start.  Returns the final state, its view,
     the ledger and the trace rows (None unless ``trace``).
     """
-    ref = protocol.initial_state if protocol.initial_state is not None else 0
+    ref = protocol.initial_state
     shown = view(state)
     pulses = dict.fromkeys(map(_ledger_key, shown[0]), 0)
     rows = [_trace_entry(0, shown, ref)] if trace else None
@@ -366,12 +384,13 @@ def make_report(
     prune_cutoff: float | None = None,
     seed: int | None = None,
 ) -> RunReport:
-    proto_dict = protocol.to_dict() if protocol is not None and protocol.pulses else None
+    if protocol is not None and not protocol.pulses:
+        protocol = None
     fingerprint = config_fingerprint(
         {
             "engine": engine,
             "chain": asdict(cfg),
-            "protocol": proto_dict,
+            "protocol": None if protocol is None else protocol.to_dict(),
             "seed": seed,
             "doubled": doubled,
             "prune_cutoff": prune_cutoff,
@@ -387,7 +406,7 @@ def make_report(
         doubled=doubled,
         prune_cutoff=prune_cutoff,
         seed=seed,
-        protocol=proto_dict,
+        protocol=protocol,
         trace=trace,
         config_hash=fingerprint,
     )
@@ -448,28 +467,11 @@ def band_classify(records: list[UnwantedRecord]) -> BandSummary:
 
 # -- excitation profiles -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ExcitationProfile:
-    state: int
-    bitstring: str
-    flips: int
-    energy_above_ground: float
-
-
-def excitation_profiles(
-    records: list[UnwantedRecord], cfg: ChainConfig
-) -> list[ExcitationProfile]:
-    """Per-record spin pattern and energy above the all-zeros ground state."""
+def excitation_profiles(records: list[UnwantedRecord], cfg: ChainConfig) -> list[float]:
+    """Each record's energy above the all-zeros ground state, in record order:
+    the last column of ``records_csv``."""
     ground = basis_energy(0, cfg)
-    return [
-        ExcitationProfile(
-            state=r.state,
-            bitstring=r.bitstring,
-            flips=r.flips,
-            energy_above_ground=r.energy - ground,
-        )
-        for r in records
-    ]
+    return [r.energy - ground for r in records]
 
 
 # -- phase comparison --------------------------------------------------------
@@ -492,9 +494,9 @@ def accumulated_reference_phase(report: RunReport) -> float:
     """
     if report.trace is None:
         raise ValueError("phase accumulation needs a run recorded with trace=True")
-    if not report.protocol:
+    proto = report.protocol
+    if proto is None:
         raise ValueError("phase accumulation needs protocol metadata")
-    proto = Protocol.from_dict(report.protocol)
     if len(report.trace) != len(proto.pulses) + 1:
         raise ValueError("trace length does not match protocol length")
     if len(proto.detunings) != len(proto.pulses):

@@ -9,7 +9,7 @@ import spinpulse as sp
 from spinpulse.cli import main
 from spinpulse.report import records_csv
 
-ANALYSIS_FILES = ("unwanted.csv", "bands.json", "profiles.csv")
+ANALYSIS_FILES = ("unwanted.csv", "bands.json")
 
 
 def write_config(path: Path, doc: dict) -> Path:
@@ -149,8 +149,8 @@ class TestSimulate:
                                      rabi=0.2, equal_epsilon=False),
                 (2, 6), 0.02, seed,
             )
-            assert reports[seed].protocol == expected.to_dict()
-        rabis = {seed: [p["rabi"] for p in r.protocol["pulses"]] for seed, r in reports.items()}
+            assert reports[seed].protocol == expected
+        rabis = {seed: [p.rabi for p in r.protocol.pulses] for seed, r in reports.items()}
         assert rabis[1] != rabis[2]
         assert reports[1].final_amps != reports[2].final_amps
 
@@ -169,6 +169,21 @@ class TestSimulate:
         report = sp.RunReport.load(out / "report.json")
         assert report.probability(proto.target_state) == pytest.approx(0.5, abs=1e-6)
 
+    def test_protocol_file_run_starts_at_its_path(self, tmp_path, capsys):
+        # without the opening pi/2-pulse the walk starts on the control-flipped
+        # branch and carries all of it to the target
+        cmd, cfg_path = _protocol_file_config(tmp_path, lambda d: d.update(
+            pulses=d["pulses"][1:], path=d["path"][1:], detunings=d["detunings"][1:],
+        ))
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(cfg_path), "--out", str(out), "--trace"]) == 0
+        report = sp.RunReport.load(out / "report.json")
+        proto = report.protocol
+        assert proto.initial_state == 1 << 4
+        assert report.trace[0].reference_amplitude == 1
+        assert report.probability(proto.target_state) > 0.999
+        assert report.probability(0) == 0.0
+        assert "1 stored states, 0 unwanted" in capsys.readouterr().out
 
     def test_protocol_file_with_pulse_phase_is_rejected(self, tmp_path, capsys):
         chain = sp.ChainConfig(n_qubits=5, larmor_spacing=100.0)
@@ -376,6 +391,7 @@ MALFORMED = {
     "pulse-rabi-infinite": (_third_pulse("rabi", math.inf), "rabi"),
     "pulse-duration-nan": (_third_pulse("duration", math.nan), "duration"),
     "pulse-duration-infinite": (_third_pulse("duration", math.inf), "duration"),
+    "pulse-rabi-beyond-the-float-range": (_third_pulse("rabi", 10**400), "rabi"),
     "protocol-file-with-gate": (
         lambda p: _protocol_file_config(p, lambda d: None, gate={"type": "cn", "rabi": 0.3}),
         "gate",
@@ -411,6 +427,27 @@ MALFORMED = {
         _edited_config("compare", _set("chain", "n_qubits", 2), COMPARE), "qubits"
     ),
     "engine-kind": (_edited_config("simulate", _set("engine", "kind", "exact")), "kind"),
+    "protocol-path-not-a-number": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(path=["abc"])), "path"
+    ),
+    "protocol-path-negative": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(path=[-1])), "path"
+    ),
+    "protocol-path-outside-the-chain": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(path=["7", "999999"])), "path"
+    ),
+    "protocol-detuning-not-a-number": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(detunings=["x"])), "detunings"
+    ),
+    "protocol-detuning-beyond-the-float-range": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(detunings=[10**400])), "detunings"
+    ),
+    "protocol-detuning-a-bool": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(detunings=[True])), "detunings"
+    ),
+    "protocol-gate-not-a-string": (
+        lambda p: _protocol_file_config(p, lambda d: d.update(gate=5)), "gate"
+    ),
 }
 
 
@@ -578,13 +615,17 @@ class TestAnalyze:
             "--phase-with", str(out / "report.json"),
             "--out", str(analysis),
         ]) == 0
-        assert (analysis / "unwanted.csv").exists()
+        header = (analysis / "unwanted.csv").read_text().split("\n", 1)[0]
+        assert header.split(",")[-1] == "energy_above_ground"
         assert (analysis / "bands.json").exists()
-        assert (analysis / "profiles.csv").exists()
+        assert not (analysis / "profiles.csv").exists()
         phase = json.loads((analysis / "phase.json").read_text())
         assert phase["deviation_radians"] == 0.0
 
-    def test_reproduces_the_simulate_tables(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def doubled_run(self, tmp_path_factory):
+        """The report of an N=8 doubled simulate run and its analyze directory."""
+        tmp_path = tmp_path_factory.mktemp("doubled")
         cfg_path = write_config(tmp_path, base_config(n=8, report={
             "doubled_probabilities": True}))
         out = tmp_path / "run"
@@ -592,20 +633,73 @@ class TestAnalyze:
         analysis = tmp_path / "analysis"
         assert main(["analyze", "--report", str(out / "report.json"),
                      "--out", str(analysis)]) == 0
-        report = sp.RunReport.load(out / "report.json")
+        return sp.RunReport.load(out / "report.json"), analysis
+
+    def test_reproduces_the_simulate_tables(self, doubled_run):
+        report, analysis = doubled_run
         records = report.unwanted_records()
         table = (analysis / "unwanted.csv").read_text()
         assert table.count("\n") > 10
-        assert table == records_csv(records) == report.unwanted_csv()
+        assert table == records_csv(records, sp.excitation_profiles(records, report.chain))
         summary = sp.band_classify(records)
         assert json.loads((analysis / "bands.json").read_text()) == {
             "split_gap_decades": summary.split_gap,
             "bands": [asdict(band) for band in summary.bands],
         }
+        assert not (analysis / "profiles.csv").exists()
+
+    def test_last_column_is_the_energy_above_ground(self, doubled_run):
+        report, analysis = doubled_run
+        records = report.unwanted_records()
         ground = sp.basis_energy(0, report.chain)
-        rows = (analysis / "profiles.csv").read_text().splitlines()
-        assert rows[0] == "state,flips,energy_above_ground"
-        assert rows[1:] == [f"{r.bitstring},{r.flips},{r.energy - ground!r}" for r in records]
+        rows = [line.split(",") for line in (analysis / "unwanted.csv").read_text().splitlines()]
+        assert rows[0][5] == "energy_above_ground"
+        assert len(rows) == len(records) + 1 > 10
+        assert [row[5] for row in rows[1:]] == [repr(r.energy - ground) for r in records]
+        assert [row[0] for row in rows[1:]] == [r.bitstring for r in records]
+
+
+def _keep_only_the_version(doc):
+    version = doc["version"]
+    doc.clear()
+    doc["version"] = version
+
+
+def _first_state_not_a_number(doc):
+    doc["final_amps"][0][0] = "abc"
+
+
+def _drop_path_and_break_a_frequency(doc):
+    protocol = doc["protocol"]
+    del protocol["path"]
+    protocol["pulses"][1]["frequency"] = "fast"
+
+
+# case -> (edit of a simulate report.json, word in the message)
+MALFORMED_REPORTS = {
+    "version-only": (_keep_only_the_version, "engine"),
+    "n-qubits-a-string": (lambda d: d["chain"].update(n_qubits="x"), "n_qubits"),
+    "state-not-a-number": (_first_state_not_a_number, "final_amps"),
+    "protocol-frequency-not-a-number": (_drop_path_and_break_a_frequency, "frequency"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_malformed_report_is_a_config_error(tmp_path, capsys, case):
+    edit, word = MALFORMED_REPORTS[case]
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(write_config(tmp_path, base_config())),
+                 "--out", str(run)]) == 0
+    doc = json.loads((run / "report.json").read_text())
+    edit(doc)
+    (run / "report.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["analyze", "--report", str(run / "report.json"), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert word in err["error"]["message"]
+    assert not out.exists()
 
 
 DENSE = {

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
 from spinpulse.report import (
-    UnwantedRecord, accumulated_reference_phase, make_report, reporting_cutoff, run_pulses,
+    UnwantedRecord, accumulated_reference_phase, make_report, records_csv, reporting_cutoff,
+    run_pulses,
 )
 from spinpulse.sparse_engine import SparseState
 
@@ -25,6 +26,12 @@ def small_run(trace=False, doubled=False):
     )
 
 
+def unwanted_table(report):
+    """The unwanted.csv that ``analyze`` writes for ``report``."""
+    records = report.unwanted_records()
+    return records_csv(records, sp.excitation_profiles(records, report.chain))
+
+
 class TestRunReportSerialization:
     def test_json_round_trip_is_bit_identical(self, tmp_path):
         report, _ = small_run(trace=True)
@@ -38,7 +45,18 @@ class TestRunReportSerialization:
         assert loaded.trace == report.trace
         assert loaded.chain == report.chain
         assert loaded.config_hash == report.config_hash
-        assert loaded.unwanted_csv() == report.unwanted_csv()
+        assert loaded.protocol == report.protocol
+        assert unwanted_table(loaded) == unwanted_table(report)
+
+    def test_saved_report_loads_its_protocol(self, tmp_path):
+        report, proto = small_run(trace=True)
+        path = tmp_path / "report.json"
+        report.save(path)
+        loaded = sp.RunReport.load(path)
+        assert isinstance(loaded.protocol, sp.Protocol)
+        assert loaded.protocol == proto
+        assert loaded.unwanted_records() == report.unwanted_records()
+        assert loaded.wanted_states == {proto.initial_state, proto.target_state}
 
     def test_saved_ledger_covers_exactly_the_final_states(self, tmp_path):
         report, _ = small_run()
@@ -77,8 +95,16 @@ class TestRunReportSerialization:
         old.save(path)
         trimmed = sp.RunReport.load(path)
         assert trimmed.generation == {0: 0, 5: 2, 6: 3, 3: 3}
-        assert trimmed.unwanted_csv() == old.unwanted_csv()
+        assert old.protocol == trimmed.protocol == sp.Protocol(
+            pulses=(), gate="cn", path=(0, 6)
+        )
+        assert unwanted_table(trimmed) == unwanted_table(old)
         assert [r.state for r in trimmed.unwanted_records()] == [5, 3]
+
+    @pytest.mark.parametrize("read", [sp.RunReport.from_dict, sp.Protocol.from_dict])
+    def test_document_that_is_not_an_object_rejected(self, read):
+        with pytest.raises(sp.ConfigError, match="must be a JSON object"):
+            read([2])
 
     def test_unknown_version_rejected(self):
         report, _ = small_run()
@@ -113,7 +139,7 @@ class TestRunReportSerialization:
     def test_same_seed_reproduces_csv_bytes(self):
         rep_a, _ = small_run(trace=True)
         rep_b, _ = small_run(trace=True)
-        assert rep_a.unwanted_csv() == rep_b.unwanted_csv()
+        assert unwanted_table(rep_a) == unwanted_table(rep_b)
         assert rep_a.trace_csv() == rep_b.trace_csv()
         assert rep_a.config_hash == rep_b.config_hash
 
@@ -146,12 +172,15 @@ class TestUnwantedRecords:
 
     def test_csv_header_and_decimal_format(self):
         report, _ = small_run()
-        lines = report.unwanted_csv().split("\n")
-        assert lines[0] == "state,probability,generation_pulse,energy,flips"
+        lines = unwanted_table(report).split("\n")
+        assert lines[0] == (
+            "state,probability,generation_pulse,energy,flips,energy_above_ground"
+        )
         first = lines[1].split(",")
         assert set(first[0]) <= {"0", "1"}
         assert "." in first[1] and "," not in first[1]
         assert float(first[1]) > 0
+        assert "." in first[5] and float(first[5]) > 0
 
 
 def _records(probs):
@@ -197,9 +226,10 @@ class TestExcitationProfiles:
             state=0, bitstring="000000", probability=1e-3, generation=0,
             energy=sp.basis_energy(0, CFG), flips=0,
         )
-        profile = sp.excitation_profiles(recs, CFG)[0]
-        assert profile.flips == 0
-        assert profile.energy_above_ground == pytest.approx(0.0, abs=1e-12)
+        above = sp.excitation_profiles(recs, CFG)
+        assert above == [pytest.approx(0.0, abs=1e-12)]
+        row = records_csv(recs, above).splitlines()[1].split(",")
+        assert row[4:] == ["0", repr(above[0])]
 
     def test_single_flip_energy_matches_transition(self):
         state = 1 << 3
@@ -207,10 +237,8 @@ class TestExcitationProfiles:
             state=state, bitstring=sp.state_to_string(state, 6), probability=1e-4,
             generation=2, energy=sp.basis_energy(state, CFG), flips=1,
         )
-        profile = sp.excitation_profiles([rec], CFG)[0]
-        assert profile.energy_above_ground == pytest.approx(
-            sp.transition_frequency(0, 3, CFG), rel=1e-12
-        )
+        [above] = sp.excitation_profiles([rec], CFG)
+        assert above == pytest.approx(sp.transition_frequency(0, 3, CFG), rel=1e-12)
 
 
 class TestPhaseReport:
