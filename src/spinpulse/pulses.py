@@ -31,7 +31,7 @@ class Pulse:
     def __post_init__(self):
         for name in ("frequency", "rabi", "duration"):
             value = getattr(self, name)
-            if _finite(value) is None:
+            if finite_number(value) is None:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.rabi <= 0:
             raise ValueError(f"rabi must be positive, got {self.rabi}")
@@ -121,7 +121,7 @@ class Protocol:
             pulses=pulses,
             gate=gate,
             path=_entries(data, "path", _basis_state, "non-negative integers"),
-            detunings=_entries(data, "detunings", _finite, "finite numbers"),
+            detunings=_entries(data, "detunings", finite_number, "finite numbers"),
         )
 
     def save(self, path: str | Path) -> None:
@@ -142,8 +142,8 @@ def _basis_state(value) -> int | None:
     return None
 
 
-def _finite(value) -> float | None:
-    """A finite real number (a pulse field or a detuning) as a float; None otherwise."""
+def finite_number(value) -> float | None:
+    """A finite real number (not a bool) as a float; None otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     try:

@@ -29,7 +29,7 @@ import numpy as np
 from .chain import ChainConfig, basis_energies, basis_energy, flip_count, state_to_string
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
-from .pulses import Protocol, Pulse
+from .pulses import Protocol, Pulse, finite_number
 
 REPORT_FORMAT_VERSION = 2
 
@@ -179,17 +179,18 @@ class RunReport:
                 data, "final_amps",
                 lambda rows: {int(s): complex(re, im) for s, re, im in rows},
             ),
-            leaked=_field(data, "leaked"),
-            time=_field(data, "time"),
+            leaked=_field(data, "leaked", _finite),
+            time=_field(data, "time", _finite),
             generation=_field(
                 data, "generation", lambda ledger: {int(s): g for s, g in ledger.items()}
             ),
-            doubled=_field(data, "doubled"),
-            prune_cutoff=data.get("prune_cutoff"),
-            seed=data.get("seed"),
+            doubled=_field(data, "doubled", _bool),
+            prune_cutoff=_field(data, "prune_cutoff", _finite, optional=True),
+            seed=_field(data, "seed", _int, optional=True),
             protocol=_field(data, "protocol", Protocol.from_dict, optional=True),
             trace=_field(data, "trace", _trace_rows, optional=True),
-            config_hash=data.get("config_hash", ""),
+            # Reports written before the hash existed load with an empty one.
+            config_hash=_field(data, "config_hash", _str, optional=True) or "",
         )
 
     def save(self, path: str | Path) -> None:
@@ -239,11 +240,40 @@ def _field(data: dict, name: str, parse=None, *, optional: bool = False):
         raise ConfigError(f"bad report field {name!r}: {exc}") from None
 
 
+def _typed(kind: type):
+    """A field parser that returns a JSON value of ``kind`` unchanged: bool,
+    int, str or list (a bool is never an int), or float for any finite real
+    number (not a bool); ValueError otherwise."""
+
+    def parse(value):
+        if kind is float:
+            ok = finite_number(value) is not None
+        else:
+            ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+        if not ok:
+            name = "finite number" if kind is float else kind.__name__
+            raise ValueError(f"must be a {name}, got {value!r}")
+        return value
+
+    return parse
+
+
+_bool, _int, _str, _finite, _list = map(_typed, (bool, int, str, float, list))
+
+
 def _trace_rows(rows: list) -> list[TraceEntry]:
-    return [
-        TraceEntry(*row[:5], None if row[5] is None else complex(row[5][0], row[5][1]))
-        for row in rows
-    ]
+    """Trace entries of rows ``[pulse, time, norm, leaked, n_states, ref]``,
+    ``ref`` null or ``[re, im]``; ValueError on any other row."""
+    entries = []
+    for row in _list(rows):
+        pulse, time, norm, leaked, n_states, ref = _list(row)
+        if ref is not None:
+            re, im = _list(ref)
+            ref = complex(_finite(re), _finite(im))
+        entries.append(
+            TraceEntry(_int(pulse), _finite(time), _finite(norm), _finite(leaked), _int(n_states), ref)
+        )
+    return entries
 
 
 def records_csv(records: list[UnwantedRecord], above_ground: list[float]) -> str:

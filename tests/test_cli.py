@@ -675,12 +675,27 @@ def _drop_path_and_break_a_frequency(doc):
     protocol["pulses"][1]["frequency"] = "fast"
 
 
+def _one_trace_row(*row):
+    return lambda doc: doc.update(trace=[list(row)])
+
+
 # case -> (edit of a simulate report.json, word in the message)
 MALFORMED_REPORTS = {
     "version-only": (_keep_only_the_version, "engine"),
     "n-qubits-a-string": (lambda d: d["chain"].update(n_qubits="x"), "n_qubits"),
     "state-not-a-number": (_first_state_not_a_number, "final_amps"),
     "protocol-frequency-not-a-number": (_drop_path_and_break_a_frequency, "frequency"),
+    "doubled-a-string": (lambda d: d.update(doubled="no"), "doubled"),
+    "leaked-a-string": (lambda d: d.update(leaked="x"), "leaked"),
+    "time-a-numeric-string": (lambda d: d.update(time="1.0"), "time"),
+    "prune-cutoff-a-string": (lambda d: d.update(prune_cutoff="abc"), "prune_cutoff"),
+    "seed-a-string": (lambda d: d.update(seed="z"), "seed"),
+    "config-hash-a-number": (lambda d: d.update(config_hash=5), "config_hash"),
+    "trace-row-time-a-string": (_one_trace_row(0, "a", 1.0, 0.0, 1, [1.0, 0.0]), "trace"),
+    "trace-row-index-a-bool": (_one_trace_row(True, 0.0, 1.0, 0.0, 1, None), "trace"),
+    "trace-row-norm-nan": (_one_trace_row(0, 0.0, math.nan, 0.0, 1, None), "trace"),
+    "trace-row-n-states-a-float": (_one_trace_row(0, 0.0, 1.0, 0.0, 1.5, None), "trace"),
+    "trace-row-ref-holds-a-bool": (_one_trace_row(0, 0.0, 1.0, 0.0, 1, [True, 0.0]), "trace"),
 }
 
 

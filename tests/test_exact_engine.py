@@ -1,13 +1,18 @@
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
+from spinpulse import exact_engine
 from spinpulse.error_model import _block_modes
-from spinpulse.exact_engine import diagonalize, rotating_diagonal
+from spinpulse.exact_engine import (
+    dense_amplitudes, dense_view, diagonalize, interaction_to_rotating, rotating_diagonal,
+    rotating_to_interaction,
+)
 from spinpulse.sparse_engine import PulsePairs, SparseState
 
 
@@ -115,6 +120,24 @@ class TestEvolvePulseExact:
         out = sp.evolve_pulse_exact(amps, eig, pulse.duration)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
+    # The real products form the same terms as the complex formula, summed in
+    # another order.  Each output sums d terms of size at most 1, so the two
+    # differ by a few ulps times sqrt(d) (32 at d = 1024); 1e-13 is ~450 ulps.
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_matches_the_complex_formula(self, n):
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
+        pulse = sp.Pulse(frequency=cfg.omega(n // 2) + 2.0, rabi=0.3, duration=12.5)
+        eig = diagonalize(sp.build_rotating_hamiltonian(pulse, cfg))
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=cfg.dimension) + 1j * rng.normal(size=cfg.dimension)
+        amps /= np.linalg.norm(amps)
+        v = eig.vectors
+        for tau in (0.0, pulse.duration, 37.3):
+            expected = v @ (np.exp(-1j * eig.values * tau) * (v.T @ amps))
+            out = sp.evolve_pulse_exact(amps, eig, tau)
+            assert np.max(np.abs(out - expected)) <= 1e-13
+            assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+
     def test_resonant_pi_transfers_population(self):
         cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=100.0)
         nu = sp.transition_frequency(0, 2, cfg)
@@ -124,6 +147,81 @@ class TestEvolvePulseExact:
         )
         mu = sp.mu_base(0.1, 100.0)
         assert report.probability(1 << 2) >= 1.0 - 20.0 * mu
+
+
+def reference_run(pulses, cfg, cutoff):
+    """``run_protocol_exact`` from basis state 0, written as a plain loop that
+    keeps every eigensystem until the end: (amps, leaked, ledger items)."""
+    eigensystems = {}
+    c, t = dense_amplitudes({0: 1.0}, cfg.dimension), 0.0
+    ledger = {s: 0 for s in dense_view(c.real, c.imag, cutoff)[0]}
+    for idx, pulse in enumerate(pulses, start=1):
+        key = (pulse.frequency, pulse.rabi)
+        if key not in eigensystems:
+            eigensystems[key] = diagonalize(sp.build_rotating_hamiltonian(pulse, cfg))
+        a = interaction_to_rotating(c, pulse, cfg, t)
+        a = sp.evolve_pulse_exact(a, eigensystems[key], pulse.duration)
+        t += pulse.duration
+        c = rotating_to_interaction(a, pulse, cfg, t)
+        for s in dense_view(c.real, c.imag, cutoff)[0]:
+            ledger.setdefault(s, idx)
+    amps, leaked = dense_view(c.real, c.imag, cutoff)
+    return amps, leaked, list(ledger.items())
+
+
+def max_overlap(pulses):
+    """Most distinct (frequency, rabi) keys needed at one pulse: keys whose
+    first pulse is at or before it and whose last pulse is at or after it."""
+    keys = [(p.frequency, p.rabi) for p in pulses]
+    spans = {k: (keys.index(k), len(keys) - 1 - keys[::-1].index(k)) for k in keys}
+    return max(sum(lo <= i <= hi for lo, hi in spans.values()) for i in range(len(keys)))
+
+
+class TestEigensystemLifetime:
+    """Each distinct pulse is diagonalized once and its eigensystem is freed
+    after the last pulse that uses it."""
+
+    CFG = sp.ChainConfig(n_qubits=6, larmor_spacing=100.0)
+    A = sp.Pulse(frequency=CFG.omega(1), rabi=0.2, duration=5.0)
+    B = sp.Pulse(frequency=CFG.omega(2) + 1.0, rabi=0.3, duration=4.0)
+    C = sp.Pulse(frequency=CFG.omega(3), rabi=0.2, duration=6.0)
+
+    @pytest.mark.parametrize("schedule", ["cn", "ABACB"])
+    def test_at_most_the_live_eigensystems_are_kept(self, monkeypatch, schedule):
+        if schedule == "cn":
+            pulses = sp.build_cn_protocol(self.CFG, rabi=0.2, equal_epsilon=False).pulses
+        else:
+            pulses = [getattr(self, name) for name in schedule]
+        refs = []  # a weak reference to every eigensystem made
+        counts = {"calls": 0, "peak": 0}
+
+        def alive():
+            return sum(ref() is not None for ref in refs)
+
+        diagonalize_all, evolve = exact_engine.diagonalize, exact_engine.evolve_pulse_exact
+
+        def counting_diagonalize(ham):
+            eig = diagonalize_all(ham)
+            counts["calls"] += 1
+            refs.append(weakref.ref(eig))
+            counts["peak"] = max(counts["peak"], alive())
+            return eig
+
+        def watched_evolve(amps, eig, tau):
+            counts["peak"] = max(counts["peak"], alive())
+            return evolve(amps, eig, tau)
+
+        monkeypatch.setattr(exact_engine, "diagonalize", counting_diagonalize)
+        monkeypatch.setattr(exact_engine, "evolve_pulse_exact", watched_evolve)
+        report = sp.run_protocol_exact({0: 1.0}, pulses, self.CFG, cutoff=1e-12)
+        assert counts["calls"] == len({(p.frequency, p.rabi) for p in pulses})
+        assert counts["peak"] == max_overlap(pulses) == 2
+        assert alive() == 0
+        monkeypatch.undo()
+        amps, leaked, ledger = reference_run(pulses, self.CFG, 1e-12)
+        assert report.final_amps == amps
+        assert report.leaked == leaked
+        assert list(report.generation.items()) == ledger
 
 
 class TestFrameConversions:

@@ -69,7 +69,8 @@ class TestRunReportSerialization:
         assert set(sp.RunReport.load(path).generation) == set(report.final_amps)
 
     def test_version_1_document_with_full_ledger_loads(self, tmp_path):
-        # Format 1 stored the first crossing of every state ever above cutoff.
+        # Format 1 stored the first crossing of every state ever above cutoff,
+        # and no config hash.
         v1 = {
             "version": 1,
             "engine": "perturbative",
@@ -87,9 +88,9 @@ class TestRunReportSerialization:
             "protocol": {"version": 1, "gate": "cn", "pulses": [], "path": ["0", "6"],
                          "detunings": []},
             "trace": None,
-            "config_hash": "0123456789abcdef",
         }
         old = sp.RunReport.from_dict(v1)
+        assert old.config_hash == ""
         assert len(old.generation) == 8
         path = tmp_path / "report.json"
         old.save(path)
