@@ -1,44 +1,15 @@
 """Command-line front door.
 
-Every command reads a JSON run-config document with a versioned schema;
-unknown keys are rejected so a typo cannot silently corrupt a
-hundreds-of-pulses run.  A run command writes the JSON run report (and the
-per-pulse trace table when traced); "analyze" derives the unwanted-state
-table and the band summary from a report.  Reruns with the same config and
-seed are byte-identical.
+Every command but "analyze" reads a JSON run config; "analyze" reads a run
+report.  A run command writes the JSON run report (and the per-pulse trace
+table when traced); "analyze" derives the unwanted-state table and the band
+summary from a report.  Reruns with the same config and seed are
+byte-identical.  The command picks the engine: "simulate" runs the
+perturbative one, "simulate-exact" and "classical" the dense ones.
 
-Config document (version 1):
-
-    {
-      "version": 1,
-      "chain":  {"n_qubits": 200, "larmor_spacing": 100.0,
-                 "base_larmor": 1000.0, "coupling": 1.0, "cutoff": 1e-6},
-      "gate":   {"type": "cn", "rabi": 0.14, "equal_epsilon": false},
-      "engine": {"max_qubits": 14, "step": null, "norm_tol": 1e-9},
-      "report": {"doubled_probabilities": true, "trace": false},
-      "seed": 0,
-      "jitter": {"first": 10, "last": 40, "bound": 0.05},
-      "sweep":  {"spacings": {"start": 50, "stop": 1000, "points": 8,
-                 "scale": "log"}, "rabis": [...], "threshold": 1e-5},
-      "compare": {"vary": "spacing", "values": [...]}
-    }
-
-Instead of "gate" and "jitter" a config may name an existing pulse file
-via "protocol_file"; every state on its path must fit the chain, and the
-run starts at the path's first state (basis state 0 without a path).  The
-command picks the engine: "simulate" runs the perturbative one,
-"simulate-exact" and "classical" the dense ones.  The
-cutoff is interpreted in the reporting convention: with doubled
-probabilities the stored pruning threshold is cutoff/2.
-"engine.max_qubits" caps both dense engines: it defaults to 14 for the
-exact engine and to 8 for the classical one.  It must be a positive
-integer, and "engine.step" (null for the default) and "engine.norm_tol"
-positive finite numbers.  "gate.k" must be a positive integer, and
-"gate.rabi", the sweep threshold and every axis value positive finite
-numbers; flags are JSON true or false.
-"compare.rabi" or "compare.k" replaces the gate's under "vary": "spacing"
-and is refused under "vary": "rabi"; "compare" builds its own unjittered CN
-protocol at each value, so it refuses "jitter" and "protocol_file".
+The fields of a config, a protocol file and a report are listed in
+``schema`` (and README, "Input fields"); a malformed one exits with code 2.
+The rules that tie fields together are checked here.
 """
 
 from __future__ import annotations
@@ -61,70 +32,23 @@ from .pulses import Protocol
 from .report import (
     RunReport, band_classify, excitation_profiles, phase_report, records_csv,
 )
+from .schema import CONFIG, check
 from .sparse_engine import SparseState, run_protocol
-
-CONFIG_VERSION = 1
 
 # The two-level reduction drops every flip outside the near-resonant window.
 _UNMODELLED = "; far-detuned leakage not modelled (dominant error at 2*pi*k points)"
 
-_SCHEMA = {
-    "version": None,
-    "chain": {"n_qubits", "larmor_spacing", "base_larmor", "coupling", "cutoff"},
-    "gate": {"type", "rabi", "k", "equal_epsilon"},
-    "protocol_file": None,
-    "engine": {"max_qubits", "step", "norm_tol"},
-    "report": {"doubled_probabilities", "trace"},
-    "seed": None,
-    "jitter": {"first", "last", "bound"},
-    "sweep": {"spacings", "rabis", "threshold"},
-    "compare": {"vary", "values", "rabi", "k"},
-}
 
-
-def _validate_config(doc: dict) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    if doc.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"config version must be {CONFIG_VERSION}")
-    unknown = set(doc) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, allowed in _SCHEMA.items():
-        if allowed is None or key not in doc:
-            continue
-        section = doc[key]
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        extra = set(section) - allowed
-        if extra:
-            raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-
-
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path) -> tuple[dict, ChainConfig]:
+    """The config document at ``path``, checked, and its chain."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    _validate_config(doc)
-    return doc
-
-
-def chain_from_config(doc: dict) -> ChainConfig:
-    chain = doc.get("chain")
-    if not chain:
-        raise ConfigError("config needs a 'chain' section")
-    if "n_qubits" not in chain or "larmor_spacing" not in chain:
-        raise ConfigError("chain section needs n_qubits and larmor_spacing")
-    try:
-        return ChainConfig(**chain)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    check(doc, CONFIG, "config")
+    return doc, ChainConfig(**doc["chain"])
 
 
 def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path, seed: int) -> Protocol:
@@ -140,20 +64,11 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path, seed: in
             )
         return protocol
     gate = doc.get("gate")
-    if not gate:
+    if gate is None:
         raise ConfigError("config needs a 'gate' section or a protocol_file")
-    protocol = _cn_protocol(cfg, gate, **_drive(gate, "gate"))
-    jitter = doc.get("jitter")
-    if jitter:
-        for field in ("first", "last", "bound"):
-            if field not in jitter:
-                raise ConfigError(f"jitter section needs {field!r}")
-        first, last, bound = jitter["first"], jitter["last"], jitter["bound"]
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (first, last)):
-            raise ConfigError(f"jitter.first and .last must be integers, got {first!r}, {last!r}")
-        numeric = isinstance(bound, (int, float)) and not isinstance(bound, bool)
-        if not numeric or not 0 <= bound < math.inf:
-            raise ConfigError(f"jitter.bound must be a non-negative finite number, got {bound!r}")
+    protocol = _cn_protocol(cfg, gate, rabi=gate.get("rabi"), k=gate.get("k"))
+    if "jitter" in doc:
+        first, last, bound = (doc["jitter"][key] for key in ("first", "last", "bound"))
         try:
             protocol = perturb_protocol(protocol, (first, last), bound, seed)
         except ValueError as exc:
@@ -163,119 +78,30 @@ def protocol_from_config(doc: dict, cfg: ChainConfig, config_dir: Path, seed: in
 
 def _cn_protocol(cfg: ChainConfig, gate: dict, **drive) -> Protocol:
     """The CN protocol that config section ``gate`` describes, at ``drive``'s rabi or k."""
-    if gate.get("type", "cn") != "cn":
-        raise ConfigError(f"unknown gate type {gate.get('type')!r}")
-    equal_epsilon = _flag(gate.get("equal_epsilon", True), "gate.equal_epsilon")
     try:
-        return build_cn_protocol(cfg, **drive, equal_epsilon=equal_epsilon)
+        return build_cn_protocol(cfg, **drive, equal_epsilon=gate.get("equal_epsilon", True))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
 def _axis_values(axis, name: str) -> list[float]:
-    """The spacings or drive strengths of axis ``name``: positive finite numbers."""
-    values = _axis_list(axis)
+    """The values of config axis ``name``: its list, or its range's points."""
+    if isinstance(axis, list):
+        return [float(v) for v in axis]
+    start, stop, points = float(axis["start"]), float(axis["stop"]), axis["points"]
+    scale = axis.get("scale", "linear")
+    if scale == "log":
+        if start <= 0 or stop <= 0:
+            raise ConfigError(f"{name}: a log-scale axis needs positive start and stop")
+        ratio = (stop / start) ** (1.0 / (points - 1))
+        values = [start * ratio**i for i in range(points)]
+    else:
+        step = (stop - start) / (points - 1)
+        values = [start + step * i for i in range(points)]
     bad = [v for v in values if not 0.0 < v < math.inf]
     if bad:
         raise ConfigError(f"{name} values must be positive finite numbers, got {bad[0]!r}")
     return values
-
-
-def _axis_list(axis) -> list[float]:
-    if isinstance(axis, list):
-        try:
-            return [float(v) for v in axis]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"axis values must be numbers: {exc}")
-    if isinstance(axis, dict):
-        extra = set(axis) - {"start", "stop", "points", "scale"}
-        if extra:
-            raise ConfigError(f"unknown axis keys: {sorted(extra)}")
-        missing = {"start", "stop", "points"} - set(axis)
-        if missing:
-            raise ConfigError(f"axis needs {sorted(missing)}")
-        try:
-            start, stop = float(axis["start"]), float(axis["stop"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"axis start and stop must be numbers: {exc}")
-        points = axis["points"]
-        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-            raise ConfigError(f"axis points must be an integer of at least 2, got {points!r}")
-        scale = axis.get("scale", "linear")
-        if scale not in ("linear", "log"):
-            raise ConfigError(f"axis scale must be 'linear' or 'log', got {scale!r}")
-        if scale == "log":
-            if start <= 0 or stop <= 0:
-                raise ConfigError("a log-scale axis needs positive start and stop")
-            ratio = (stop / start) ** (1.0 / (points - 1))
-            return [start * ratio**i for i in range(points)]
-        step = (stop - start) / (points - 1)
-        return [start + step * i for i in range(points)]
-    raise ConfigError("axis must be a list or a range object")
-
-
-def _positive(value, name: str, *, integer: bool = False, optional: bool = False):
-    """Config field ``name``, checked to be a positive integer or finite number,
-    or None if it is optional."""
-    if value is None and optional:
-        return None
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < math.inf:
-        kind = "a positive integer" if integer else "a positive finite number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return value
-
-
-def _flag(value, name: str) -> bool:
-    """Config field ``name``, checked to be a JSON boolean."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _max_qubits(doc: dict, default: int) -> int:
-    """``engine.max_qubits``, checked, or a dense engine's ``default`` cap."""
-    value = doc.get("engine", {}).get("max_qubits", default)
-    return _positive(value, "engine.max_qubits", integer=True)
-
-
-def _drive(section: dict, name: str) -> dict:
-    """The ``rabi`` and ``k`` that config section ``name`` sets, checked."""
-    return {
-        key: _positive(section[key], f"{name}.{key}", integer=key == "k", optional=True)
-        for key in ("rabi", "k") if key in section
-    }
-
-
-def _run_engine(
-    engine: str,
-    protocol: Protocol,
-    cfg: ChainConfig,
-    doc: dict,
-    *,
-    doubled: bool,
-    trace: bool,
-    cutoff_raw: float,
-    seed: int,
-) -> RunReport:
-    """Run ``engine``, the run command's: "perturbative", "exact" or "classical",
-    from the protocol's initial state."""
-    initial = SparseState.from_basis(protocol.initial_state)
-    engine_opts = doc.get("engine", {})
-    run = dict(cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed)
-    if engine == "perturbative":
-        return run_protocol(initial, protocol, cfg, **run)
-    if engine == "exact":
-        return run_protocol_exact(
-            initial, protocol, cfg, **run,
-            cap=_max_qubits(doc, DEFAULT_QUBIT_CAP),
-        )
-    return run_protocol_classical(
-        initial, protocol, cfg, **run,
-        cap=_max_qubits(doc, CLASSICAL_QUBIT_CAP),
-        step=_positive(engine_opts.get("step"), "engine.step", optional=True),
-        norm_tol=_positive(engine_opts.get("norm_tol", 1e-9), "engine.norm_tol"),
-    )
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -284,13 +110,12 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 
 
 def cmd_simulate(args, engine: str) -> int:
-    """Run ``engine`` on the config; write report.json, and trace.csv when traced."""
-    doc = load_config(args.config)
-    cfg = chain_from_config(doc)
+    """Run ``engine`` ("perturbative", "exact" or "classical") on the config from
+    its protocol's initial state; write report.json, and trace.csv when traced."""
+    doc, cfg = load_config(args.config)
     report_opts = doc.get("report", {})
-    doubled = _flag(report_opts.get("doubled_probabilities", False), "report.doubled_probabilities")
-    trace = _flag(report_opts.get("trace", False), "report.trace")
-    doubled, trace = doubled or args.doubled_probabilities, trace or args.trace
+    doubled = report_opts.get("doubled_probabilities", False) or args.doubled_probabilities
+    trace = report_opts.get("trace", False) or args.trace
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     cutoff = float(args.cutoff) if args.cutoff is not None else cfg.cutoff
     if not 0.0 < cutoff < 1.0:
@@ -298,10 +123,20 @@ def cmd_simulate(args, engine: str) -> int:
     cutoff_raw = cutoff / 2.0 if doubled else cutoff
 
     protocol = protocol_from_config(doc, cfg, Path(args.config).parent, seed)
-    report = _run_engine(
-        engine, protocol, cfg, doc,
-        doubled=doubled, trace=trace, cutoff_raw=cutoff_raw, seed=seed,
-    )
+    initial = SparseState.from_basis(protocol.initial_state)
+    run = dict(cutoff=cutoff_raw, trace=trace, doubled=doubled, seed=seed)
+    opts = doc.get("engine", {})
+    if engine == "perturbative":
+        report = run_protocol(initial, protocol, cfg, **run)
+    elif engine == "exact":
+        report = run_protocol_exact(
+            initial, protocol, cfg, **run, cap=opts.get("max_qubits", DEFAULT_QUBIT_CAP)
+        )
+    else:
+        report = run_protocol_classical(
+            initial, protocol, cfg, **run, cap=opts.get("max_qubits", CLASSICAL_QUBIT_CAP),
+            step=opts.get("step"), norm_tol=opts.get("norm_tol", 1e-9),
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "report.json")
@@ -317,8 +152,7 @@ def cmd_simulate(args, engine: str) -> int:
 
 
 def cmd_design(args) -> int:
-    doc = load_config(args.config)
-    cfg = chain_from_config(doc)
+    doc, cfg = load_config(args.config)
     protocol = protocol_from_config(doc, cfg, Path(args.config).parent, doc.get("seed", 0))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -329,19 +163,15 @@ def cmd_design(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = load_config(args.config)
-    cfg = chain_from_config(doc)
+    doc, cfg = load_config(args.config)
     sweep = doc.get("sweep")
-    if not sweep:
+    if sweep is None:
         raise ConfigError("config needs a 'sweep' section")
-    for field in ("spacings", "rabis", "threshold"):
-        if field not in sweep:
-            raise ConfigError(f"sweep section needs {field!r}")
     region = sweep_threshold_regions(
         cfg,
         _axis_values(sweep["spacings"], "sweep.spacings"),
         _axis_values(sweep["rabis"], "sweep.rabis"),
-        _positive(sweep["threshold"], "sweep.threshold"),
+        sweep["threshold"],
     )
     out_dir = Path(args.out)
     _write(out_dir, "regions.csv", region.to_csv())
@@ -358,17 +188,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    doc = load_config(args.config)
-    cfg = chain_from_config(doc)
+    doc, cfg = load_config(args.config)
     comp = doc.get("compare")
-    if not comp:
+    if comp is None:
         raise ConfigError("config needs a 'compare' section")
-    vary = comp.get("vary")
-    if vary not in ("spacing", "rabi"):
-        raise ConfigError("compare.vary must be 'spacing' or 'rabi'")
-    values = _axis_values(comp.get("values", []), "compare.values")
-    if not values:
-        raise ConfigError("compare.values must be non-empty")
+    vary = comp["vary"]
+    values = _axis_values(comp["values"], "compare.values")
 
     refused = {"jitter", "protocol_file"} & set(doc)
     if refused:
@@ -377,12 +202,12 @@ def cmd_compare(args) -> int:
         )
     gate = doc.get("gate", {})
     # compare's rabi or k, else the gate's: under vary "spacing" exactly one is set
-    drive = {**_drive(gate, "gate"), **_drive(comp, "compare")}
+    drive = {key: part[key] for part in (gate, comp) for key in ("rabi", "k") if key in part}
     if vary == "rabi" and {"rabi", "k"} & set(comp):
         raise ConfigError("compare.rabi and compare.k cannot be set when compare.vary is 'rabi'")
     if vary == "spacing" and (drive.get("rabi") is None) == (drive.get("k") is None):
         raise ConfigError("compare.vary 'spacing' needs exactly one of rabi or k (compare or gate)")
-    cap = _max_qubits(doc, DEFAULT_QUBIT_CAP)
+    cap = doc.get("engine", {}).get("max_qubits", DEFAULT_QUBIT_CAP)
     lines = [f"{vary},p_exact,p_formula"]
     for value in values:
         if vary == "spacing":

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exceptions import ConfigError
-
-PROTOCOL_FORMAT_VERSION = 1
+from .schema import PROTOCOL, PROTOCOL_FORMAT_VERSION, check, finite_number
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,7 @@ class Pulse:
     def __post_init__(self):
         for name in ("frequency", "rabi", "duration"):
             value = getattr(self, name)
-            if finite_number(value) is None:
+            if not finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.rabi <= 0:
             raise ValueError(f"rabi must be positive, got {self.rabi}")
@@ -92,36 +89,19 @@ class Protocol:
     @classmethod
     def from_dict(cls, data: dict) -> "Protocol":
         """The protocol of a document as ``to_dict`` writes it; ConfigError
-        naming the field if a field is missing or malformed."""
-        if not isinstance(data, dict):
-            raise ConfigError("protocol must be a JSON object")
-        if data.get("version") != PROTOCOL_FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported protocol format version {data.get('version')!r}"
-            )
-        known = {"version", "gate", "pulses", "path", "detunings"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown protocol keys: {sorted(unknown)}")
-        try:
-            entries = [dict(entry) for entry in data["pulses"]]
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError("protocol needs 'pulses', a list of pulse objects")
-        # Older files carry each pulse's drive phase, which must be zero.
-        if any(entry.pop("phase", 0.0) != 0.0 for entry in entries):
-            raise ConfigError("non-zero pulse phase is not modelled by any engine")
-        try:
-            pulses = tuple(Pulse(**entry) for entry in entries)
-        except (TypeError, ValueError) as exc:  # a missing or unknown key, or a bad value
-            raise ConfigError(f"bad pulse entry: {exc}")
-        gate = data.get("gate", "")
-        if not isinstance(gate, str):
-            raise ConfigError(f"protocol gate must be a string, got {gate!r}")
+        naming the field if a field is missing or malformed (``schema.PROTOCOL``)."""
+        check(data, PROTOCOL, "protocol")
+        return cls.from_checked(data)
+
+    @classmethod
+    def from_checked(cls, data: dict) -> "Protocol":
+        """The protocol of a document that ``schema.PROTOCOL`` has checked."""
         return cls(
-            pulses=pulses,
-            gate=gate,
-            path=_entries(data, "path", _basis_state, "non-negative integers"),
-            detunings=_entries(data, "detunings", finite_number, "finite numbers"),
+            pulses=tuple(Pulse(**{k: v for k, v in p.items() if k != "phase"})
+                         for p in data["pulses"]),
+            gate=data.get("gate", ""),
+            path=tuple(map(int, data.get("path", ()))),
+            detunings=tuple(map(float, data.get("detunings", ()))),
         )
 
     def save(self, path: str | Path) -> None:
@@ -130,39 +110,6 @@ class Protocol:
     @classmethod
     def load(cls, path: str | Path) -> "Protocol":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def _basis_state(value) -> int | None:
-    """A path entry: a decimal string (as ``to_dict`` writes it) or a non-negative
-    int; None otherwise."""
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    return None
-
-
-def finite_number(value) -> float | None:
-    """A finite real number (not a bool) as a float; None otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _entries(data: dict, field: str, parse, kind: str) -> tuple:
-    """The list ``data[field]`` (empty if absent), each entry read by ``parse``."""
-    values = data.get(field, [])
-    if not isinstance(values, list):
-        raise ConfigError(f"protocol {field} must be a list, got {values!r}")
-    parsed = tuple(map(parse, values))
-    if None in parsed:
-        bad = values[parsed.index(None)]
-        raise ConfigError(f"protocol {field} entries must be {kind}, got {bad!r}")
-    return parsed
 
 
 def as_protocol(pulses: Protocol | list[Pulse] | tuple[Pulse, ...]) -> Protocol:

@@ -29,9 +29,8 @@ import numpy as np
 from .chain import ChainConfig, basis_energies, basis_energy, flip_count, state_to_string
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
-from .pulses import Protocol, Pulse, finite_number
-
-REPORT_FORMAT_VERSION = 2
+from .pulses import Protocol, Pulse
+from .schema import REPORT, REPORT_FORMAT_VERSION, check
 
 
 @dataclass(frozen=True)
@@ -166,31 +165,31 @@ class RunReport:
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
         """The report of a document as ``to_dict`` writes it; ConfigError
-        naming the field if a field is missing or malformed."""
-        if not isinstance(data, dict):
-            raise ConfigError("report must be a JSON object")
-        # Version 1 stored the whole first-crossing ledger; it loads as is.
-        if data.get("version") not in (1, REPORT_FORMAT_VERSION):
-            raise ConfigError(f"unsupported report version {data.get('version')!r}")
+        naming the field if a field is missing or malformed (``schema.REPORT``)."""
+        check(data, REPORT, "report")
+        chain = ChainConfig(**data["chain"])
+        final_amps = {int(s): complex(re, im) for s, re, im in data["final_amps"]}
+        if final_amps and max(final_amps) >> chain.n_qubits:
+            raise ConfigError(f"report field final_amps holds state {max(final_amps)}, "
+                              f"which does not fit in {chain.n_qubits} qubits")
+        protocol, trace = data.get("protocol"), data.get("trace")
         return cls(
-            engine=_field(data, "engine"),
-            chain=_field(data, "chain", lambda chain: ChainConfig(**chain)),
-            final_amps=_field(
-                data, "final_amps",
-                lambda rows: {int(s): complex(re, im) for s, re, im in rows},
-            ),
-            leaked=_field(data, "leaked", _finite),
-            time=_field(data, "time", _finite),
-            generation=_field(
-                data, "generation", lambda ledger: {int(s): g for s, g in ledger.items()}
-            ),
-            doubled=_field(data, "doubled", _bool),
-            prune_cutoff=_field(data, "prune_cutoff", _finite, optional=True),
-            seed=_field(data, "seed", _int, optional=True),
-            protocol=_field(data, "protocol", Protocol.from_dict, optional=True),
-            trace=_field(data, "trace", _trace_rows, optional=True),
+            engine=data["engine"],
+            chain=chain,
+            final_amps=final_amps,
+            leaked=data["leaked"],
+            time=data["time"],
+            generation={int(s): g for s, g in data["generation"].items()},
+            doubled=data["doubled"],
+            prune_cutoff=data.get("prune_cutoff"),
+            seed=data.get("seed"),
+            protocol=None if protocol is None else Protocol.from_checked(protocol),
+            trace=None if trace is None else [
+                TraceEntry(i, t, norm, leaked, n, None if ref is None else complex(*ref))
+                for i, t, norm, leaked, n, ref in trace
+            ],
             # Reports written before the hash existed load with an empty one.
-            config_hash=_field(data, "config_hash", _str, optional=True) or "",
+            config_hash=data.get("config_hash") or "",
         )
 
     def save(self, path: str | Path) -> None:
@@ -222,58 +221,6 @@ class RunReport:
                 ]
             )
         return buf.getvalue()
-
-
-def _field(data: dict, name: str, parse=None, *, optional: bool = False):
-    """Report field ``name`` read by ``parse``, None if ``optional`` and absent
-    or null; ConfigError naming the field if it is missing or malformed."""
-    value = data.get(name)
-    if value is None:
-        if optional:
-            return None
-        raise ConfigError(f"report needs the field {name!r}")
-    if parse is None:
-        return value
-    try:
-        return parse(value)
-    except (ConfigError, AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad report field {name!r}: {exc}") from None
-
-
-def _typed(kind: type):
-    """A field parser that returns a JSON value of ``kind`` unchanged: bool,
-    int, str or list (a bool is never an int), or float for any finite real
-    number (not a bool); ValueError otherwise."""
-
-    def parse(value):
-        if kind is float:
-            ok = finite_number(value) is not None
-        else:
-            ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-        if not ok:
-            name = "finite number" if kind is float else kind.__name__
-            raise ValueError(f"must be a {name}, got {value!r}")
-        return value
-
-    return parse
-
-
-_bool, _int, _str, _finite, _list = map(_typed, (bool, int, str, float, list))
-
-
-def _trace_rows(rows: list) -> list[TraceEntry]:
-    """Trace entries of rows ``[pulse, time, norm, leaked, n_states, ref]``,
-    ``ref`` null or ``[re, im]``; ValueError on any other row."""
-    entries = []
-    for row in _list(rows):
-        pulse, time, norm, leaked, n_states, ref = _list(row)
-        if ref is not None:
-            re, im = _list(ref)
-            ref = complex(_finite(re), _finite(im))
-        entries.append(
-            TraceEntry(_int(pulse), _finite(time), _finite(norm), _finite(leaked), _int(n_states), ref)
-        )
-    return entries
 
 
 def records_csv(records: list[UnwantedRecord], above_ground: list[float]) -> str:

@@ -448,6 +448,33 @@ MALFORMED = {
     "protocol-gate-not-a-string": (
         lambda p: _protocol_file_config(p, lambda d: d.update(gate=5)), "gate"
     ),
+    "sweep-spacings-numeric-strings": (
+        _edited_config("sweep", _set("sweep", "spacings", ["100", "200"]), SWEEP),
+        "sweep.spacings",
+    ),
+    "sweep-rabis-holding-a-bool": (
+        _edited_config("sweep", _set("sweep", "rabis", [True, 0.2]), SWEEP), "sweep.rabis"
+    ),
+    "jitter-empty": (lambda p: _jitter_config(p, {}), "jitter.first"),
+    "simulate-engine-step-not-a-number": (
+        _edited_config("simulate", _set("engine", "step", "abc")), "engine.step"
+    ),
+    "simulate-engine-max-qubits-not-an-int": (
+        _edited_config("simulate", _set("engine", "max_qubits", "x")), "engine.max_qubits"
+    ),
+    "simulate-engine-norm-tol-negative": (
+        _edited_config("simulate", _set("engine", "norm_tol", -1)), "engine.norm_tol"
+    ),
+    "simulate-exact-engine-step-not-a-number": (
+        _edited_config("simulate-exact", _set("engine", "step", "abc")), "engine.step"
+    ),
+    "sweep-report-trace-a-string": (
+        _edited_config("sweep", _set("report", "trace", "no"), SWEEP), "report.trace"
+    ),
+    "sweep-gate-rabi-a-string": (
+        _edited_config("sweep", _set("gate", "rabi", "x"), SWEEP), "gate.rabi"
+    ),
+    "pulse-label-a-number": (_third_pulse("label", 5), "pulses[2].label"),
 }
 
 
@@ -696,6 +723,17 @@ MALFORMED_REPORTS = {
     "trace-row-norm-nan": (_one_trace_row(0, 0.0, math.nan, 0.0, 1, None), "trace"),
     "trace-row-n-states-a-float": (_one_trace_row(0, 0.0, 1.0, 0.0, 1.5, None), "trace"),
     "trace-row-ref-holds-a-bool": (_one_trace_row(0, 0.0, 1.0, 0.0, 1, [True, 0.0]), "trace"),
+    "engine-a-number": (lambda d: d.update(engine=5), "engine"),
+    # final_amps[1] is state 2, an unwanted final state of the 6-qubit run
+    "generation-a-string": (lambda d: d["generation"].update({"2": "x"}), "generation"),
+    "generation-negative": (lambda d: d["generation"].update({"2": -7}), "generation"),
+    "generation-a-bool": (lambda d: d["generation"].update({"2": True}), "generation"),
+    "amplitude-part-a-bool": (lambda d: d["final_amps"][1].__setitem__(1, True), "final_amps"),
+    "amplitude-part-nan": (lambda d: d["final_amps"][1].__setitem__(2, math.nan), "final_amps"),
+    "state-negative": (lambda d: d["final_amps"][1].__setitem__(0, "-3"), "final_amps"),
+    "state-outside-the-chain": (
+        lambda d: d["final_amps"][1].__setitem__(0, "999999"), "final_amps"
+    ),
 }
 
 
