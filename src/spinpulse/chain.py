@@ -141,6 +141,21 @@ def pack_states(states: Iterable[int], n_qubits: int) -> np.ndarray:
     return np.frombuffer(data, np.dtype("<u8")).reshape(-1, words)
 
 
+def sort_keys(rows: np.ndarray) -> np.ndarray:
+    """Byte strings that order packed rows as the integers they hold: the
+    words most significant first, each big-endian."""
+    return rows[:, ::-1].astype(">u8", order="C").view(f"S{8 * rows.shape[1]}")[:, 0]
+
+
+def descend(rows: np.ndarray, k: int, lineage: np.ndarray) -> np.ndarray:
+    """Packed rows ``lineage >> 1`` of ``rows``, bit k flipped where
+    ``lineage & 1``: how the packed kernel builds the rows it keeps, and how
+    the first-crossing replay rebuilds them."""
+    out = rows[lineage >> 1]
+    out[(lineage & 1).astype(bool), k // 64] ^= np.uint64(1 << (k % 64))
+    return out
+
+
 def flip_energy(state: int, k: int, cfg: ChainConfig) -> float:
     """Signed energy change when spin k of ``state`` is flipped.
 

@@ -32,7 +32,7 @@ from .pulses import Protocol
 from .report import (
     RunReport, band_classify, excitation_profiles, phase_report, records_csv,
 )
-from .schema import CONFIG, check
+from .schema import CONFIG, check, read_json
 from .sparse_engine import SparseState, run_protocol
 
 # The two-level reduction drops every flip outside the near-resonant window.
@@ -41,12 +41,7 @@ _UNMODELLED = "; far-detuned leakage not modelled (dominant error at 2*pi*k poin
 
 def load_config(path: str | Path) -> tuple[dict, ChainConfig]:
     """The config document at ``path``, checked, and its chain."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    doc = read_json(path, "config")
     check(doc, CONFIG, "config")
     return doc, ChainConfig(**doc["chain"])
 
@@ -154,6 +149,8 @@ def cmd_simulate(args, engine: str) -> int:
 def cmd_design(args) -> int:
     doc, cfg = load_config(args.config)
     protocol = protocol_from_config(doc, cfg, Path(args.config).parent, doc.get("seed", 0))
+    if not protocol.pulses:
+        raise ConfigError("design needs a protocol with at least one entry in pulses")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     protocol.save(out_dir / "protocol.json")

@@ -48,7 +48,7 @@ import numpy as np
 from .chain import ChainConfig, flip_energy
 from .design import rabi_for_2pik
 from .pulses import Protocol
-from .sparse_engine import PulsePairs, SparseState, apply_pulse, prune
+from .sparse_engine import PulsePairs, SparseState, apply_pulse
 
 
 def epsilon(rabi: float, delta: float, duration: float) -> float:
@@ -275,7 +275,7 @@ def first_order_error(cfg: ChainConfig, protocol: Protocol) -> float:
         for s, c in added.items():
             amps[s] = amps.get(s, 0j) + c
         first = SparseState(amps, first.leaked, first.time)
-        zeroth = prune(apply_pulse(zeroth, pulse, cfg), cfg.cutoff)
+        zeroth = apply_pulse(zeroth, pulse, cfg, cfg.cutoff)
     unwanted = (set(zeroth.amps) | set(first.amps)) - {
         protocol.initial_state, protocol.target_state
     }

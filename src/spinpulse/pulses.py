@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .schema import PROTOCOL, PROTOCOL_FORMAT_VERSION, check, finite_number
+from .schema import PROTOCOL, PROTOCOL_FORMAT_VERSION, check, finite_number, read_json
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class Protocol:
 
     @classmethod
     def load(cls, path: str | Path) -> "Protocol":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path, "protocol"))
 
 
 def as_protocol(pulses: Protocol | list[Pulse] | tuple[Pulse, ...]) -> Protocol:

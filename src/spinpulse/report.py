@@ -3,12 +3,12 @@
 A RunReport is the common output of every engine.  It carries the final
 sparse amplitudes, the probability removed by pruning (or left below the
 reporting cutoff for dense engines), the first-crossing pulse index of every
-state that ever held probability above the cutoff, the Protocol that was run,
-and enough provenance to reproduce the run byte for byte.  Reports serialize
-to JSON (lossless float round trip); the JSON keeps the first-crossing pulse
-of the final states only, the part of the ledger that anything reads.  Each
-fact has one copy: the unwanted states are one CSV table (``records_csv``),
-one row per state, with its energy above ground as the last column.
+final state (the first pulse after which it held probability above the
+cutoff), the Protocol that was run, and enough provenance to reproduce the
+run byte for byte.  Reports serialize to JSON (lossless float round trip).
+Each fact has one copy: the unwanted states are one CSV table
+(``records_csv``), one row per state, with its energy above ground as the
+last column.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,11 +25,14 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .chain import ChainConfig, basis_energies, basis_energy, flip_count, state_to_string
+from .chain import (
+    ChainConfig, basis_energies, basis_energy, descend, flip_count, pack_states, sort_keys,
+    state_to_string,
+)
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
 from .pulses import Protocol, Pulse
-from .schema import REPORT, REPORT_FORMAT_VERSION, check
+from .schema import REPORT, REPORT_FORMAT_VERSION, check, read_json
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class RunReport:
     final_amps: dict[int, complex]
     leaked: float
     time: float
-    generation: Mapping[int, int]
+    generation: dict[int, int]
     doubled: bool = False
     prune_cutoff: float | None = None
     seed: int | None = None
@@ -165,10 +167,18 @@ class RunReport:
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
         """The report of a document as ``to_dict`` writes it; ConfigError
-        naming the field if a field is missing or malformed (``schema.REPORT``)."""
-        check(data, REPORT, "report")
+        naming the field if a field is missing or malformed (``schema.REPORT``).
+
+        The final states and their ledger, the bulk of a report, are read
+        once by ``_read_states``; the table walks them only when it declines.
+        """
+        states = _read_states(data) if type(data) is dict else None
+        check(data if states is None else {**data, "final_amps": [], "generation": {}},
+              REPORT, "report")
+        final_amps, generation = states or (
+            {int(s): complex(re, im) for s, re, im in data["final_amps"]},
+            {int(s): g for s, g in data["generation"].items()})
         chain = ChainConfig(**data["chain"])
-        final_amps = {int(s): complex(re, im) for s, re, im in data["final_amps"]}
         if final_amps and max(final_amps) >> chain.n_qubits:
             raise ConfigError(f"report field final_amps holds state {max(final_amps)}, "
                               f"which does not fit in {chain.n_qubits} qubits")
@@ -179,7 +189,7 @@ class RunReport:
             final_amps=final_amps,
             leaked=data["leaked"],
             time=data["time"],
-            generation={int(s): g for s, g in data["generation"].items()},
+            generation=generation,
             doubled=data["doubled"],
             prune_cutoff=data.get("prune_cutoff"),
             seed=data.get("seed"),
@@ -197,7 +207,7 @@ class RunReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path, "report"))
 
     def trace_csv(self) -> str:
         if self.trace is None:
@@ -221,6 +231,31 @@ class RunReport:
                 ]
             )
         return buf.getvalue()
+
+
+def _read_states(data: dict) -> tuple[dict[int, complex], dict[int, int]] | None:
+    """``final_amps`` and ``generation`` as dicts, read with whole-column tests
+    when they hold what the writers store: decimal-string states, finite
+    numbers and ints >= 0; None otherwise, for the table check to judge."""
+    rows, ledger = data.get("final_amps"), data.get("generation")
+    if type(rows) is not list or type(ledger) is not dict or (
+            set(map(type, rows)) - {list} or set(map(len, rows)) - {3}):
+        return None
+    states, re, im = zip(*rows) if rows else ((), (), ())
+    texts, generations = states + tuple(ledger), tuple(ledger.values())
+    if (set(map(type, texts)) - {str} or set(map(type, re + im)) - {float, int}
+            or set(map(type, generations)) - {int} or not all(texts)):
+        return None
+    digits = "".join(texts) or "0"
+    try:
+        finite = math.isfinite(math.fsum(re + im))
+    except (OverflowError, ValueError):  # parts beyond the float range, or inf - inf
+        return None
+    if not (finite and digits.isdigit() and digits.isascii()) or min(generations, default=0) < 0:
+        return None
+    amps = dict(zip(map(int, states), map(complex, re, im)))
+    # the writers key the ledger by the final states, in their order
+    return amps, dict(zip(amps if texts[len(states):] == states else map(int, ledger), generations))
 
 
 def records_csv(records: list[UnwantedRecord], above_ground: list[float]) -> str:
@@ -265,35 +300,6 @@ def reporting_cutoff(cfg: ChainConfig, cutoff: float | None) -> float:
     return cutoff
 
 
-def _ledger_key(state: int) -> bytes:
-    return state.to_bytes((state.bit_length() + 7) // 8, "little")
-
-
-class Ledger(Mapping):
-    """Read-only first-crossing ledger: basis state -> pulse index.
-
-    Entries are stored under each state's little-endian bytes, because
-    CPython hashes an int modulo 2^61 - 1: the basis states 2^k and
-    2^(k+61) of a long chain collide as int keys, but not as bytes.
-    Iteration decodes the states in insertion order.
-    """
-
-    def __init__(self, pulses: dict[bytes, int]):
-        self._pulses = pulses
-
-    def __getitem__(self, state: int) -> int:
-        try:
-            return self._pulses[_ledger_key(operator.index(state))]
-        except (TypeError, OverflowError, KeyError):
-            raise KeyError(state) from None
-
-    def __iter__(self):
-        return (int.from_bytes(key, "little") for key in self._pulses)
-
-    def __len__(self) -> int:
-        return len(self._pulses)
-
-
 State = TypeVar("State")
 View = tuple[Mapping[int, complex], float, float]  # (amps, leaked, time)
 
@@ -304,37 +310,69 @@ def run_pulses(
     step: Callable[[State, Pulse], State],
     view: Callable[[State], View],
     trace: bool,
-) -> tuple[State, View, Ledger, list[TraceEntry] | None]:
+) -> tuple[State, View, dict[int, int], list[TraceEntry] | None]:
     """The run loop of every engine: apply each pulse, then look at the state.
 
     ``step(state, pulse)`` advances an engine's state through one pulse and
     ``view(state)`` returns (amps, leaked, time): the amplitudes at or above
     the cutoff, the probability below it, and the time reached.  The ledger
-    ``generation[s]`` is the first pulse index after which ``s`` was seen
-    above the cutoff, 0 for the start.  Returns the final state, its view,
-    the ledger and the trace rows (None unless ``trace``).
+    ``generation[s]`` is, for each final state s in the final view's order,
+    the first pulse index after which s was seen above the cutoff, 0 for the
+    start.  Returns the final state, its view, the ledger and the trace rows
+    (None unless ``trace``).
+
+    Each pulse logs which states it stored: the packed kernel's ``lineage``
+    (with its input rows when the previous view was not packed), or else
+    the states the previous pulse did not store.  ``_first_crossings``
+    replays the log once, at the end.
     """
     ref = protocol.initial_state
     shown = view(state)
-    pulses = dict.fromkeys(map(_ledger_key, shown[0]), 0)
+    log: list = [list(shown[0])]
     rows = [_trace_entry(0, shown, ref)] if trace else None
     for idx, pulse in enumerate(protocol.pulses, start=1):
+        before = shown[0]
         state = step(state, pulse)
         shown = view(state)
         amps = shown[0]
-        if hasattr(amps, "state_bytes"):  # packed amplitudes: keys read off their rows
-            for key in amps.state_bytes():
-                if key not in pulses:
-                    pulses[key] = idx
+        lineage = getattr(amps, "lineage", None)
+        if lineage is None:
+            log.append([s for s in amps if s not in before])
         else:
-            for s in amps:
-                # _ledger_key, inlined: this loop sees every stored state of every pulse
-                key = s.to_bytes((s.bit_length() + 7) // 8, "little")
-                if key not in pulses:
-                    pulses[key] = idx
+            k, codes, source = lineage
+            replayed = getattr(before, "lineage", None) is not None
+            log.append((k, codes, None if replayed else source))
         if rows is not None:
             rows.append(_trace_entry(idx, shown, ref))
-    return state, shown, Ledger(pulses), rows
+    return state, shown, _first_crossings(log, list(shown[0])), rows
+
+
+def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
+    """Replay ``run_pulses``'s log forward: the first pulse at which each
+    state of ``final`` was stored, in ``final``'s order."""
+    if not final:
+        return {}
+    where = {s: j for j, s in enumerate(final)}
+    first = np.full(len(final), -1)
+    rows = keys = order = None
+    for idx, entry in enumerate(log):
+        if type(entry) is list:
+            for s in entry:
+                j = where.get(s)
+                if j is not None and first[j] < 0:
+                    first[j] = idx
+            continue
+        k, codes, source = entry
+        rows = descend(rows if source is None else source, k, codes)
+        if keys is None:
+            keys = sort_keys(pack_states(final, 64 * rows.shape[1]))
+            order = np.argsort(keys)
+            keys = keys[order]
+        found = sort_keys(rows)
+        pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+        hit = order[pos[keys[pos] == found]]
+        first[hit[first[hit] < 0]] = idx
+    return dict(zip(final, first.tolist()))
 
 
 def _trace_entry(idx: int, shown: View, ref: int) -> TraceEntry:
@@ -354,7 +392,7 @@ def make_report(
     final_amps: dict[int, complex],
     leaked: float,
     time: float,
-    generation: Mapping[int, int],
+    generation: dict[int, int],
     *,
     trace: list[TraceEntry] | None = None,
     doubled: bool = False,

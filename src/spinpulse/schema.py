@@ -11,7 +11,9 @@ rules that tie one field to another.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 from .chain import ChainConfig
 from .exceptions import ConfigError
@@ -30,6 +32,17 @@ class Invalid(Exception):
     def at(self, step: str) -> "Invalid":
         self.path.append(step)
         return self
+
+
+def read_json(path: str | Path, document: str):
+    """The JSON value in the file at ``path``; ConfigError naming
+    ``document`` if the file is missing or does not hold JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{document} file not found: {path}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{document} is not valid JSON: {exc}")
 
 
 def check(value, kind, document: str) -> None:

@@ -29,10 +29,10 @@ pulse computes at most four blocks, one per neighbourhood pattern, and
 applies each to every pair with that pattern using the same operations in
 the same order.  With several, each state's ``chain.nearest_flip`` decides.
 
-Emission order, which fixes the amplitudes' insertion order, the ledger's
-and that of the ``leaked`` sum: states are visited in ascending order; one
-out of the window is written as it is, and a pair when its first stored
-member comes up, lower level first.
+Emission order, which fixes the amplitudes' insertion order and that of
+the ``leaked`` sum: states are visited in ascending order; one out of the
+window is written as it is, and a pair when its first stored member comes
+up, lower level first.
 
 Packed state: a pulse with one spin in its window and at least
 ``PACKED_MIN_STATES`` stored states runs on ``PackedAmps``, (S, ceil(N/64))
@@ -40,9 +40,12 @@ uint64 rows plus float64 real and imaginary parts that stay packed across
 such pulses.  The pulse is a fixed number of array operations: a stable sort
 by value, a search for each lower state's partner, slots by cumulative sum,
 and the blocks in split real and imaginary arithmetic, which rounds as
-CPython's complex product does (numpy's complex multiply does not).  Other
-pulses, and smaller states, run the per-state loop, whose fixed cost per
-pulse is ~10x lower.  Both give bit-identical amplitudes, order and ledger.
+CPython's complex product does (numpy's complex multiply does not).  The
+prune runs in the kernel, so rows are built for the kept slots only, and the
+output keeps their lineage, which ``report.run_pulses`` logs for the
+first-crossing ledger.  Other pulses, and smaller states, run the per-state
+loop, whose fixed cost per pulse is ~10x lower, and then ``prune``.  Both
+give bit-identical amplitudes, order and ``leaked``.
 
 Not modelled: far-detuned leakage.  Flips outside the near-resonant window
 are dropped, not propagated, and that channel is the dominant gate error at
@@ -62,10 +65,12 @@ import numpy as np
 
 from .chain import (
     ChainConfig,
+    descend,
     flip_energy,
     near_resonant_window,
     nearest_flip,
     pack_states,
+    sort_keys,
     window_spins,
 )
 from .pulses import Protocol, Pulse, as_protocol
@@ -80,10 +85,12 @@ class PackedAmps(Mapping):
     """Amplitudes of S states as arrays: ``rows`` from ``chain.pack_states``,
     ``re`` and ``im``.  ``values`` and ``get``, which a traced run calls every
     pulse, read the arrays; other mapping access builds an int-keyed dict on
-    first use."""
+    first use.  The kernel's output carries ``lineage`` = (k, codes, input
+    rows), from which ``chain.descend`` rebuilds ``rows``; None otherwise."""
 
-    def __init__(self, rows: np.ndarray, re: np.ndarray, im: np.ndarray):
-        self.rows, self.re, self.im = rows, re, im
+    def __init__(self, rows: np.ndarray, re: np.ndarray, im: np.ndarray,
+                 lineage: tuple | None = None):
+        self.rows, self.re, self.im, self.lineage = rows, re, im, lineage
         self._dict: dict[int, complex] | None = None
 
     @classmethod
@@ -91,14 +98,11 @@ class PackedAmps(Mapping):
         c = np.fromiter(amps.values(), complex, len(amps))
         return cls(pack_states(amps, n_qubits), c.real.copy(), c.imag.copy())
 
-    def state_bytes(self) -> list[bytes]:
-        """Each state's shortest little-endian bytes, in storage order: numpy
-        drops the trailing zero bytes of an ``S`` item."""
-        return self.rows.view(f"S{8 * self.rows.shape[1]}").ravel().tolist()
-
     def as_dict(self) -> dict[int, complex]:
         if self._dict is None:
-            states = [int.from_bytes(b, "little") for b in self.state_bytes()]
+            # numpy drops the trailing zero bytes of an ``S`` item, as little-endian allows
+            rows = self.rows.view(f"S{8 * self.rows.shape[1]}").ravel().tolist()
+            states = [int.from_bytes(b, "little") for b in rows]
             self._dict = dict(zip(states, map(complex, self.re.tolist(), self.im.tolist())))
         return self._dict
 
@@ -205,24 +209,21 @@ class PulsePairs:
         return None if blk is None else (k, e, blk)
 
 
-def _sort_keys(rows: np.ndarray) -> np.ndarray:
-    """Byte strings that order the rows as the integers they hold: the words
-    most significant first, each big-endian."""
-    return rows[:, ::-1].astype(">u8", order="C").view(f"S{8 * rows.shape[1]}")[:, 0]
-
-
 def _mul(a, b):
     """CPython's complex product on (real, imaginary) pairs of arrays."""
     (ar, ai), (br, bi) = a, b
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _packed_pulse(amps: PackedAmps, k: int, n: int, blocks: list) -> PackedAmps:
-    """The per-state loop's pulse on packed rows, for the one window spin ``k``.
+def _packed_pulse(amps: PackedAmps, k: int, n: int, blocks: list, cutoff: float, leaked: float):
+    """The per-state loop's pulse on packed rows, for the one window spin ``k``,
+    then its prune: (kept amplitudes, ``leaked`` plus the dropped probability).
 
     ``blocks[j]`` is (e, block) of neighbour pattern j = bit(k-1) + 2 bit(k+1).
+    Rows are built for the kept slots only; their ``lineage`` codes each one's
+    row in ``amps`` and whether bit k was flipped (``chain.descend``).
     """
-    keys = _sort_keys(amps.rows)
+    keys = sort_keys(amps.rows)
     order = np.argsort(keys, kind="stable")
     keys, rows, re, im = keys[order], amps.rows[order], amps.re[order], amps.im[order]
     word, mask = k // 64, np.uint64(1 << (k % 64))
@@ -231,7 +232,7 @@ def _packed_pulse(amps: PackedAmps, k: int, n: int, blocks: list) -> PackedAmps:
     lower = np.flatnonzero(~upper)
     targets = rows[lower]
     targets[:, word] |= mask
-    pos = np.minimum(np.searchsorted(keys, _sort_keys(targets)), len(keys) - 1)
+    pos = np.minimum(np.searchsorted(keys, sort_keys(targets)), len(keys) - 1)
     hit = (rows[pos] == targets).all(axis=1)
     lower, pos = lower[hit], pos[hit]
     paired = np.zeros(len(keys), bool)
@@ -248,7 +249,7 @@ def _packed_pulse(amps: PackedAmps, k: int, n: int, blocks: list) -> PackedAmps:
     active = np.array([blk is not None for _, blk in blocks])[pattern]
     writes_pair = active & ~(upper & paired)
     count = np.where(active, 2 * writes_pair, 1)
-    out_rows = np.repeat(rows, count, axis=0)
+    lineage = 2 * np.repeat(order.astype(np.int32), count)
     out_re, out_im = np.repeat(re, count), np.repeat(im, count)
 
     slot = (np.cumsum(count) - count)[writes_pair]
@@ -266,17 +267,30 @@ def _packed_pulse(amps: PackedAmps, k: int, n: int, blocks: list) -> PackedAmps:
     second = _mul(_mul([x[::-1] for x in c], cross), ph_x)
     # the m then the p slot of each pair; bit k of the stored row is flipped in one
     both = (slot[:, None] + (0, 1)).ravel()
-    out_rows[both[np.column_stack((~own_m, own_m)).ravel()], word] ^= mask
+    lineage[both[np.column_stack((~own_m, own_m)).ravel()]] += 1
     out_re[both] = (first[0] + second[0]).T.ravel()
     out_im[both] = (first[1] + second[1]).T.ravel()
-    return PackedAmps(out_rows, out_re, out_im)
+
+    p = out_re * out_re + out_im * out_im
+    drop = p < cutoff
+    if drop.any():
+        # summed in emission order, one addition at a time, as ``prune`` does
+        leaked = float(np.add.accumulate(np.append(leaked, p[drop]))[-1])
+        keep = ~drop
+        lineage, out_re, out_im = lineage[keep], out_re[keep], out_im[keep]
+    kept = PackedAmps(descend(amps.rows, k, lineage), out_re, out_im, (k, lineage, amps.rows))
+    return kept, leaked
 
 
-def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseState:
-    """Propagate every tracked amplitude through one pulse (no pruning).
+def apply_pulse(
+    state: SparseState, pulse: Pulse, cfg: ChainConfig, cutoff: float = 0.0
+) -> SparseState:
+    """Propagate every tracked amplitude through one pulse, then drop the
+    states with |C|^2 below ``cutoff`` into ``leaked`` (none at 0).
 
     With one spin in the window and at least ``PACKED_MIN_STATES`` states the
-    result is packed; otherwise it is a dict.  Pairs follow ``PulsePairs``.
+    result is packed and pruned in the kernel; otherwise it is a dict, pruned
+    by ``prune``.  Pairs follow ``PulsePairs``.
     """
     t0 = state.time
     pairs = PulsePairs(pulse, cfg, t0)
@@ -287,8 +301,10 @@ def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseSta
         if type(amps) is not PackedAmps:
             amps = PackedAmps.pack(amps, cfg.n_qubits)
         blocks = [pairs.pattern(j) for j in range(4)]
-        packed = _packed_pulse(amps, pairs.spins[0], cfg.n_qubits, blocks)
-        return SparseState(packed, state.leaked, t0 + pulse.duration)
+        packed, leaked = _packed_pulse(
+            amps, pairs.spins[0], cfg.n_qubits, blocks, cutoff, state.leaked
+        )
+        return SparseState(packed, leaked, t0 + pulse.duration)
     if type(amps) is PackedAmps:
         amps = amps.as_dict()
 
@@ -310,24 +326,14 @@ def apply_pulse(state: SparseState, pulse: Pulse, cfg: ChainConfig) -> SparseSta
         new_amps[m] = c_m * diag * ph_m + c_p * cross * ph_xc
         new_amps[p] = c_p * diag_c * ph_mc + c_m * cross * ph_x
 
-    return SparseState(amps=new_amps, leaked=state.leaked, time=t0 + pulse.duration)
+    return prune(SparseState(new_amps, state.leaked, t0 + pulse.duration), cutoff)
 
 
 def prune(state: SparseState, cutoff: float) -> SparseState:
     """Drop entries with |C|^2 below the cutoff, crediting them to ``leaked``."""
-    amps = state.amps
     leaked = state.leaked
-    if type(amps) is PackedAmps:
-        p = amps.re * amps.re + amps.im * amps.im
-        drop = p < cutoff
-        if drop.any():
-            # summed in storage order, one addition at a time, as below
-            leaked = float(np.add.accumulate(np.append(leaked, p[drop]))[-1])
-            keep = ~drop
-            amps = PackedAmps(amps.rows[keep], amps.re[keep], amps.im[keep])
-        return SparseState(amps=amps, leaked=leaked, time=state.time)
     kept: dict[int, complex] = {}
-    for s, c in amps.items():
+    for s, c in state.amps.items():
         p = c.real * c.real + c.imag * c.imag
         if p < cutoff:
             leaked += p
@@ -351,8 +357,8 @@ def run_protocol(
     ``cutoff`` is the raw probability pruning threshold (defaults to the
     chain config's).  Note that it applies to stored probabilities: when a
     report is to be read in the doubled convention, pass the doubled cutoff
-    divided by two.  The generation ledger records, for every state, the
-    first pulse index after which it was stored above the cutoff.
+    divided by two.  The generation ledger records, for every final state,
+    the first pulse index after which it was stored above the cutoff.
     """
     for s in initial.amps:
         if not 0 <= s < cfg.dimension:
@@ -362,7 +368,7 @@ def run_protocol(
     _, (amps, leaked, time), generation, rows = run_pulses(
         initial,
         protocol,
-        lambda state, pulse: prune(apply_pulse(state, pulse, cfg), threshold),
+        lambda state, pulse: apply_pulse(state, pulse, cfg, threshold),
         lambda state: (state.amps, state.leaked, state.time),
         trace,
     )

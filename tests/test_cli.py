@@ -229,6 +229,18 @@ def _protocol_file_config(tmp_path, edit, command="simulate", **sections):
     })
 
 
+def _protocol_file_holding(text):
+    """A config naming a protocol file that holds ``text``, or none if None."""
+    def make(tmp_path):
+        command, cfg_path = _protocol_file_config(tmp_path, lambda d: None)
+        if text is None:
+            (tmp_path / "protocol.json").unlink()
+        else:
+            (tmp_path / "protocol.json").write_text(text)
+        return command, cfg_path
+    return make
+
+
 def _third_pulse(field, value):
     """Edits a protocol file's third pulse to carry ``value`` as ``field``."""
     return lambda p: _protocol_file_config(p, lambda d: d["pulses"][2].update({field: value}))
@@ -475,6 +487,14 @@ MALFORMED = {
         _edited_config("sweep", _set("gate", "rabi", "x"), SWEEP), "gate.rabi"
     ),
     "pulse-label-a-number": (_third_pulse("label", 5), "pulses[2].label"),
+    "design-on-a-protocol-without-pulses": (
+        lambda p: _protocol_file_config(
+            p, lambda d: d.update(pulses=[], path=[], detunings=[]), "design"
+        ),
+        "pulses",
+    ),
+    "protocol-file-not-json": (_protocol_file_holding("{not json"), "protocol is not valid JSON"),
+    "protocol-file-missing": (_protocol_file_holding(None), "protocol file not found"),
 }
 
 
@@ -749,6 +769,24 @@ def test_malformed_report_is_a_config_error(tmp_path, capsys, case):
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["analyze", "--report", str(run / "report.json"), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert word in err["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, word", [
+    ("{not json", "report is not valid JSON"), (b"\xff{", "report is not valid JSON"),
+    (None, "report file not found"),
+])
+def test_unreadable_report_is_a_config_error(tmp_path, capsys, text, word):
+    report = tmp_path / "report.json"
+    if isinstance(text, bytes):
+        report.write_bytes(text)
+    elif text is not None:
+        report.write_text(text)
+    out = tmp_path / "out"
+    assert main(["analyze", "--report", str(report), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ConfigError"
     assert word in err["error"]["message"]

@@ -151,7 +151,8 @@ class TestEvolvePulseExact:
 
 def reference_run(pulses, cfg, cutoff):
     """``run_protocol_exact`` from basis state 0, written as a plain loop that
-    keeps every eigensystem until the end: (amps, leaked, ledger items)."""
+    keeps every eigensystem until the end: (amps, leaked, ledger items of
+    the final states)."""
     eigensystems = {}
     c, t = dense_amplitudes({0: 1.0}, cfg.dimension), 0.0
     ledger = {s: 0 for s in dense_view(c.real, c.imag, cutoff)[0]}
@@ -166,7 +167,7 @@ def reference_run(pulses, cfg, cutoff):
         for s in dense_view(c.real, c.imag, cutoff)[0]:
             ledger.setdefault(s, idx)
     amps, leaked = dense_view(c.real, c.imag, cutoff)
-    return amps, leaked, list(ledger.items())
+    return amps, leaked, [(s, ledger[s]) for s in amps]
 
 
 def max_overlap(pulses):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -10,6 +11,7 @@ from spinpulse.report import (
     UnwantedRecord, accumulated_reference_phase, make_report, records_csv, reporting_cutoff,
     run_pulses,
 )
+from spinpulse.oscillator import default_step
 from spinpulse.sparse_engine import SparseState
 
 CFG = sp.ChainConfig(n_qubits=6, larmor_spacing=100.0)
@@ -39,7 +41,7 @@ class TestRunReportSerialization:
         report.save(path)
         loaded = sp.RunReport.load(path)
         assert loaded.final_amps == report.final_amps
-        assert loaded.generation == {s: report.generation[s] for s in report.final_amps}
+        assert loaded.generation == report.generation
         assert loaded.leaked == report.leaked
         assert loaded.time == report.time
         assert loaded.trace == report.trace
@@ -60,13 +62,13 @@ class TestRunReportSerialization:
 
     def test_saved_ledger_covers_exactly_the_final_states(self, tmp_path):
         report, _ = small_run()
-        assert len(report.generation) > len(report.final_amps)
         path = tmp_path / "report.json"
         report.save(path)
         doc = json.loads(path.read_text())
         assert doc["version"] == 2
         assert list(doc["generation"]) == [str(s) for s, _, _ in doc["final_amps"]]
-        assert set(sp.RunReport.load(path).generation) == set(report.final_amps)
+        # the run keeps the ledger of its final states only, as it saves it
+        assert list(sp.RunReport.load(path).generation.items()) == list(report.generation.items())
 
     def test_version_1_document_with_full_ledger_loads(self, tmp_path):
         # Format 1 stored the first crossing of every state ever above cutoff,
@@ -112,6 +114,28 @@ class TestRunReportSerialization:
         doc = report.to_dict()
         doc["version"] = 3
         with pytest.raises(sp.ConfigError):
+            sp.RunReport.from_dict(doc)
+
+    def test_integer_states_and_parts_load_as_written_ones(self):
+        # forms the writers do not use, which the table still accepts
+        report, _ = small_run()
+        doc = json.loads(json.dumps(report.to_dict()))
+        doc["final_amps"] = [[int(s), re, im] for s, re, im in doc["final_amps"]]
+        doc["final_amps"][0][2] = 0
+        doc["generation"] = {int(s): g for s, g in doc["generation"].items()}
+        loaded = sp.RunReport.from_dict(doc)
+        first = next(iter(report.final_amps))
+        assert loaded.final_amps == {**report.final_amps, first: report.final_amps[first].real}
+        assert list(loaded.generation.items()) == list(report.generation.items())
+
+    @pytest.mark.parametrize("row, value", [
+        (0, ""), (0, "٣"), (0, "1_0"), (1, 10**400), (2, -math.inf), (2, "0.5"),
+    ])
+    def test_malformed_final_state_rows_named(self, row, value):
+        report, _ = small_run()
+        doc = json.loads(json.dumps(report.to_dict()))
+        doc["final_amps"][1][row] = value
+        with pytest.raises(sp.ConfigError, match=r"field final_amps\[1\]"):
             sp.RunReport.from_dict(doc)
 
     @given(
@@ -342,16 +366,39 @@ class TestSharedRunLoop:
         assert report.stored_norm() == expected
 
 
+def dense_ledger_run(engine):
+    """A run of ``engine`` at N=3 in which final state 5 is stored after pulse
+    2, pruned after pulse 3 and stored again after pulse 5, and the ledger
+    of every state ever stored, read off the runs of each prefix."""
+    cfg = sp.ChainConfig(n_qubits=3, larmor_spacing=10.0, base_larmor=15.0)
+    a = sp.Pulse(frequency=sp.transition_frequency(0, 0, cfg), rabi=0.5, duration=math.pi / 0.5)
+    b = sp.Pulse(frequency=sp.transition_frequency(0, 2, cfg), rabi=0.5, duration=math.pi)
+    pulses = [a, b, a, b, a]
+    if engine is sp.run_protocol_classical:
+        # one step for every prefix, so that each prefix runs as the whole run begins
+        step = default_step(cfg, sp.Protocol(pulses=tuple(pulses)), 1e-6)
+        engine = functools.partial(engine, step=step, norm_tol=1e-6)
+    stored = [list(engine({0: 1.0}, pulses[:i], cfg, cutoff=1e-3).final_amps)
+              for i in range(len(pulses) + 1)]
+    ledger = {}
+    for idx, states in enumerate(stored):
+        for s in states:
+            ledger.setdefault(s, idx)
+    return engine({0: 1.0}, pulses, cfg, cutoff=1e-3), stored, ledger
+
+
 class TestLedger:
-    # CPython hashes ints modulo 2^61 - 1, so 2^k and 2^(k+61) collide
+    # CPython hashes ints modulo 2^61 - 1, so 2^k and 2^(k+61) collide;
+    # 1 << 3 is stored, left out after pulse 2 and stored again
     VIEWS = [
         [1 << 3, 0],
         [1 << 64, 1 << 3, 1 << 125],
         [1 << 2, 1 << 63, 0],
-        [1 << 186, (1 << 64) | 1, 1 << 2],
+        [1 << 186, (1 << 64) | 1, 1 << 2, 1 << 3],
     ]
 
-    def ledger(self):
+    def test_matches_int_keyed_loop(self):
+        assert hash(1 << 3) == hash(1 << 64) == hash(1 << 125) == hash(1 << 186)
         views = self.VIEWS
         proto = sp.Protocol(pulses=tuple(
             sp.Pulse(frequency=1.0, rabi=1.0, duration=1.0) for _ in views[1:]
@@ -360,33 +407,20 @@ class TestLedger:
             0, proto, lambda i, pulse: i + 1,
             lambda i: (dict.fromkeys(views[i], 1j), 0.0, float(i)), trace=False,
         )
-        return ledger
-
-    def test_matches_int_keyed_loop(self):
-        assert hash(1 << 3) == hash(1 << 64) == hash(1 << 125) == hash(1 << 186)
-        reference = dict.fromkeys(self.VIEWS[0], 0)
-        for idx, view in enumerate(self.VIEWS[1:], start=1):
+        reference = dict.fromkeys(views[0], 0)
+        for idx, view in enumerate(views[1:], start=1):
             for s in view:
                 if s not in reference:
                     reference[s] = idx
-        ledger = self.ledger()
-        assert list(ledger.items()) == list(reference.items())
-        assert list(ledger) == list(reference)
-        assert len(ledger) == len(reference) == 8
-        assert ledger == reference
+        assert list(ledger.items()) == [(s, reference[s]) for s in views[-1]]
+        assert ledger[1 << 3] == 0
 
-    def test_missing_negative_and_non_integer_keys(self):
-        ledger = self.ledger()
-        for key in (1 << 61, 3, -1, -(1 << 64), "8", 8.0):
-            assert key not in ledger
-            with pytest.raises(KeyError):
-                ledger[key]
-        assert ledger.get(-1, "absent") == "absent"
-        assert ledger[np.int64(8)] == 0
-
-    def test_read_only(self):
-        with pytest.raises(TypeError):
-            self.ledger()[8] = 1
+    @pytest.mark.parametrize("engine", [sp.run_protocol_exact, sp.run_protocol_classical])
+    def test_dense_engines_keep_each_final_states_first_crossing(self, engine):
+        report, stored, ledger = dense_ledger_run(engine)
+        assert [5 in states for states in stored] == [False, False, True, False, False, True]
+        assert list(report.generation.items()) == [(s, ledger[s]) for s in report.final_amps]
+        assert report.generation == {3: 2, 5: 2, 6: 4}
 
 
 class TestReportingCutoff:

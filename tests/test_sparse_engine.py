@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
 from spinpulse import sparse_engine
-from spinpulse.chain import near_resonant_window, nearest_flip, pack_states, window_spins
+from spinpulse.chain import (
+    near_resonant_window, nearest_flip, pack_states, sort_keys, window_spins,
+)
 from spinpulse.error_model import _block_modes
 from spinpulse.sparse_engine import (
     PACKED_MIN_STATES, PackedAmps, PulsePairs, SparseState, apply_pulse, prune,
@@ -120,14 +122,15 @@ class TestKernelAgainstReference:
             reference_apply_pulse, state, pulse, cfg
         )
 
-    @given(kernel_inputs())
+    @given(kernel_inputs(), st.sampled_from([0.0, 1e-3, 0.1, 0.5]))
     @settings(max_examples=300, deadline=None)
-    def test_packed_kernel_bit_identical_to_reference_kernel(self, inputs):
-        # every pulse with one window spin runs packed, whatever the state count
+    def test_packed_kernel_bit_identical_to_reference_kernel(self, inputs, cutoff):
+        # every pulse with one window spin runs packed, whatever the state
+        # count, and prunes in the kernel as prune does after the reference
         state, pulse, cfg = inputs
         with mock.patch.object(sparse_engine, "PACKED_MIN_STATES", 1):
-            packed = outcome(apply_pulse, state, pulse, cfg)
-        expected = outcome(reference_apply_pulse, state, pulse, cfg)
+            packed = outcome(lambda *a: apply_pulse(*a, cutoff), state, pulse, cfg)
+        expected = outcome(lambda *a: prune(reference_apply_pulse(*a), cutoff), state, pulse, cfg)
         assert packed == expected
         assert repr(packed) == repr(expected)  # signed zeros too
 
@@ -365,9 +368,11 @@ class TestRunProtocol:
         proto = sp.build_cn_protocol(cfg, rabi=0.2, equal_epsilon=False)
         report = sp.run_protocol(SparseState.from_basis(0), proto, cfg)
         assert report.generation[0] == 0
-        assert report.generation[proto.path[1]] == 1
         assert report.generation[proto.target_state] == len(proto)
         assert all(g >= 0 for g in report.generation.values())
+        # the ledger holds final states only: path[1] is one after the first pulse
+        opening = sp.run_protocol(SparseState.from_basis(0), proto.pulses[:1], cfg)
+        assert opening.generation == {0: 0, proto.path[1]: 1}
 
     def test_bit_identical_reruns(self):
         cfg = sp.ChainConfig(n_qubits=10, larmor_spacing=100.0)
@@ -389,10 +394,17 @@ class TestRunProtocol:
 
 def reference_run(initial, pulses, cfg, cutoff):
     """A whole run as first written: the reference kernel, the per-state prune
-    loop and the int-keyed first-crossing loop."""
+    loop and the int-keyed first-crossing loop over every stored state.
+
+    Returns the final amplitudes, leaked, the ledger restricted to the final
+    states in their order, and each final state that was stored, pruned and
+    stored again, with the last pulse that stored it again.
+    """
     state = initial
     generation = dict.fromkeys(state.amps, 0)
+    again = {}
     for idx, pulse in enumerate(pulses, start=1):
+        before = state.amps
         state = reference_apply_pulse(state, pulse, cfg)
         kept, leaked = {}, state.leaked
         for s, c in state.amps.items():
@@ -405,7 +417,11 @@ def reference_run(initial, pulses, cfg, cutoff):
         for s in kept:
             if s not in generation:
                 generation[s] = idx
-    return list(state.amps.items()), state.leaked, list(generation.items())
+            elif s not in before:
+                again[s] = idx
+    final = state.amps
+    return (list(final.items()), state.leaked, [(s, generation[s]) for s in final],
+            {s: idx for s, idx in again.items() if s in final})
 
 
 def random_superposition(n, count, spins, rng):
@@ -427,10 +443,17 @@ class TestPackedRuns:
     @pytest.mark.parametrize("n", [64, 65, 128, 129])
     @pytest.mark.parametrize("count", [PACKED_MIN_STATES // 2 + 20, 2 * PACKED_MIN_STATES])
     def test_equal_to_reference_run(self, n, count, monkeypatch):
-        packed_calls = []
-        kernel = sparse_engine._packed_pulse
+        packed_calls, kinds = [], []
+        kernel, apply = sparse_engine._packed_pulse, sparse_engine.apply_pulse
         monkeypatch.setattr(sparse_engine, "_packed_pulse",
                             lambda *a: packed_calls.append(a[1]) or kernel(*a))
+
+        def watched(state, *args):
+            out = apply(state, *args)
+            kinds.append((type(state.amps), type(out.amps)))
+            return out
+
+        monkeypatch.setattr(sparse_engine, "apply_pulse", watched)
         cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
         # window spins at both ends and where bit k-1 or k+1 lies in another word
         spins = [k for k in (0, n - 1, 63, 64, 127, 128) if k < n]
@@ -441,18 +464,26 @@ class TestPackedRuns:
             for k in spins for d in (0.0, 2.0, -2.0, 5.0, -1.0)
         ]
         rng.shuffle(pulses)
-        # a pulse between two spins' lines addresses no spin
-        pulses.insert(3, sp.Pulse(frequency=cfg.omega(1) + 50.0, rabi=0.3, duration=2.0))
+        # a pulse between two spins' lines addresses no spin; the last one
+        # hands the kernel's rows back to the loop
+        idle = sp.Pulse(frequency=cfg.omega(1) + 50.0, rabi=0.3, duration=2.0)
+        pulses.insert(3, idle)
+        pulses.append(idle)
         initial = SparseState(random_superposition(n, count, spins, rng), time=3.0)
         report = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
-        final, leaked, generation = reference_run(initial, pulses, cfg, 1e-6)
+        final, leaked, generation, again = reference_run(initial, pulses, cfg, 1e-6)
         assert list(report.final_amps.items()) == final
         assert repr(list(report.final_amps.items())) == repr(final)  # signed zeros too
         assert report.leaked == leaked
         assert list(report.generation.items()) == generation
-        # the packed kernel ran, on every window spin, and so did the loop
+        # the packed kernel ran, on every window spin, and so did the loop,
+        # with both hand-overs between them
         assert set(packed_calls) == set(spins)
         assert len(packed_calls) < len(pulses)
+        assert {(dict, PackedAmps), (PackedAmps, dict)} <= set(kinds)
+        # final states that were pruned and stored again keep their first crossing
+        assert again
+        assert all(report.generation[s] < last for s, last in again.items())
 
     def test_lone_states_split_then_pair_up(self):
         # one pulse splits lone states; the next one sees pairs on both sides
@@ -463,7 +494,7 @@ class TestPackedRuns:
         pulse = sp.Pulse(frequency=cfg.omega(64) + 2.0, rabi=0.3, duration=5.0)
         initial = SparseState(amps)
         report = sp.run_protocol(initial, [pulse, pulse, pulse], cfg, cutoff=1e-5)
-        final, leaked, generation = reference_run(initial, [pulse] * 3, cfg, 1e-5)
+        final, leaked, generation, _ = reference_run(initial, [pulse] * 3, cfg, 1e-5)
         assert len(final) > len(amps)
         assert list(report.final_amps.items()) == final
         assert report.leaked == leaked
@@ -496,7 +527,7 @@ class TestPackedRows:
         states = list(states)
         rng.shuffle(states)
         rows = pack_states(states, 64 * words)
-        order = np.argsort(sparse_engine._sort_keys(rows), kind="stable")
+        order = np.argsort(sort_keys(rows), kind="stable")
         assert [states[i] for i in order] == sorted(states)
 
     def test_rows_hold_little_endian_words(self):
@@ -504,8 +535,6 @@ class TestPackedRows:
         packed = PackedAmps.pack(dict.fromkeys(states, 1j), 130)
         assert packed.rows.shape == (4, 3)
         assert [r.tobytes() for r in packed.rows] == [s.to_bytes(24, "little") for s in states]
-        shortest = [s.to_bytes((s.bit_length() + 7) // 8, "little") for s in states]
-        assert packed.state_bytes() == shortest
         assert list(packed.items()) == [(s, 1j) for s in states]
         assert len(packed) == 4
 
