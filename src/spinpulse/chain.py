@@ -150,9 +150,10 @@ def sort_keys(rows: np.ndarray) -> np.ndarray:
 def descend(rows: np.ndarray, k: int, lineage: np.ndarray) -> np.ndarray:
     """Packed rows ``lineage >> 1`` of ``rows``, bit k flipped where
     ``lineage & 1``: how the packed kernel builds the rows it keeps, and how
-    the first-crossing replay rebuilds them."""
-    out = rows[lineage >> 1]
-    out[(lineage & 1).astype(bool), k // 64] ^= np.uint64(1 << (k % 64))
+    the first-crossing replay rebuilds them.  The rows are gathered with
+    ``take`` and the bit is toggled by one shifted XOR on word k // 64."""
+    out = rows.take(lineage >> 1, axis=0)
+    out[:, k // 64] ^= (lineage & 1).astype(np.uint64) << np.uint64(k % 64)
     return out
 
 

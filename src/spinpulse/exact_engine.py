@@ -55,17 +55,22 @@ def _spin_signs(cfg: ChainConfig) -> np.ndarray:
 
 def h0_energies(cfg: ChainConfig) -> np.ndarray:
     """Static-chain energies of all 2^N basis states, indexed by bit value."""
+    return _diagonal_terms(cfg)[0]
+
+
+def _diagonal_terms(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``h0_energies`` and the spin sums sum_k s_k, from one spin-sign table."""
     sigma = _spin_signs(cfg)
     omegas = cfg.base_larmor + cfg.larmor_spacing * np.arange(cfg.n_qubits, dtype=np.float64)
     zeeman = sigma @ omegas
     bonds = (sigma[:, :-1] * sigma[:, 1:]).sum(axis=1)
-    return -0.5 * zeeman - 0.5 * cfg.coupling * bonds
+    return -0.5 * zeeman - 0.5 * cfg.coupling * bonds, sigma.sum(axis=1)
 
 
 def rotating_diagonal(freq: float, cfg: ChainConfig) -> np.ndarray:
     """Diagonal of the rotating-frame Hamiltonian for a drive at ``freq``."""
-    chi = -0.5 * freq * _spin_signs(cfg).sum(axis=1)
-    return h0_energies(cfg) - chi
+    energies, spin_sums = _diagonal_terms(cfg)
+    return energies + 0.5 * freq * spin_sums  # E_p - chi_p
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ def dense_view(
     """Amplitudes at or above ``threshold`` and the probability below it."""
     probs = re**2 + im**2
     keep = np.flatnonzero(probs >= threshold)
-    amps = {int(s): complex(re[s], im[s]) for s in keep}
+    amps = dict(zip(keep.tolist(), map(complex, re[keep].tolist(), im[keep].tolist())))
     return amps, float(probs.sum()) - float(probs[keep].sum())
 
 
@@ -181,6 +186,7 @@ def run_protocol_exact(
     threshold = reporting_cutoff(cfg, cutoff)
     uses_left = Counter((pulse.frequency, pulse.rabi) for pulse in protocol.pulses)
     eig_cache: dict[tuple[float, float], EigenSystem] = {}
+    energies, spin_sums = _diagonal_terms(cfg)
 
     def step(state: tuple[np.ndarray, float], pulse: Pulse) -> tuple[np.ndarray, float]:
         c, t = state
@@ -190,10 +196,11 @@ def run_protocol_exact(
         uses_left[key] -= 1
         # at its last pulse the eigensystem leaves the cache, freed when this step returns
         eigensystem = eig_cache[key] if uses_left[key] else eig_cache.pop(key)
-        a = interaction_to_rotating(c, pulse, cfg, t)
-        a = evolve_pulse_exact(a, eigensystem, pulse.duration)
+        # the phases of interaction_to_rotating and rotating_to_interaction
+        diag = energies + 0.5 * pulse.frequency * spin_sums
+        a = evolve_pulse_exact(np.exp(-1j * diag * t) * c, eigensystem, pulse.duration)
         t += pulse.duration
-        return rotating_to_interaction(a, pulse, cfg, t), t
+        return np.exp(1j * diag * t) * a, t
 
     def view(state: tuple[np.ndarray, float]):
         c, t = state

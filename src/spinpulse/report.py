@@ -203,7 +203,9 @@ class RunReport:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
+        with open(path, "w") as fh:  # streamed: a large report's text is never held whole
+            json.dump(self.to_dict(), fh, indent=1)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
@@ -264,17 +266,12 @@ def records_csv(records: list[UnwantedRecord], above_ground: list[float]) -> str
     ``above_ground`` holds each record's energy above the all-zeros ground
     state, as ``excitation_profiles`` returns it; it is the last column.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["state", "probability", "generation_pulse", "energy", "flips", "energy_above_ground"]
-    )
-    for r, above in zip(records, above_ground, strict=True):
-        writer.writerow(
-            [r.bitstring, repr(r.probability), r.generation, repr(r.energy), r.flips,
-             repr(above)]
-        )
-    return buf.getvalue()
+    # no field needs quoting (bitstrings, float reprs and ints), so the lines
+    # are joined directly, as ``csv.writer`` would write them
+    lines = ["state,probability,generation_pulse,energy,flips,energy_above_ground\n"]
+    lines += [f"{r.bitstring},{r.probability!r},{r.generation},{r.energy!r},{r.flips},{above!r}\n"
+              for r, above in zip(records, above_ground, strict=True)]
+    return "".join(lines)
 
 
 # From this many states on, numpy's fixed cost per call is cheaper than the
@@ -324,7 +321,8 @@ def run_pulses(
     Each pulse logs which states it stored: the packed kernel's ``lineage``
     (with its input rows when the previous view was not packed), or else
     the states the previous pulse did not store.  ``_first_crossings``
-    replays the log once, at the end.
+    replays the log once, at the end, and searches the final states' keys
+    only for rows that share a hash bucket with a final state.
     """
     ref = protocol.initial_state
     shown = view(state)
@@ -349,12 +347,15 @@ def run_pulses(
 
 def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
     """Replay ``run_pulses``'s log forward: the first pulse at which each
-    state of ``final`` was stored, in ``final``'s order."""
+    state of ``final`` was stored, in ``final``'s order.  Of the rows rebuilt
+    by ``chain.descend``, only those in a ``_bucket`` a final state occupies
+    are searched; a key comparison confirms each, so no hash changes the result."""
     if not final:
         return {}
     where = {s: j for j, s in enumerate(final)}
     first = np.full(len(final), -1)
-    rows = keys = order = None
+    rows = keys = order = occupied = None
+    bits = (16 * len(final) - 1).bit_length()  # at least 16 buckets per final state
     for idx, entry in enumerate(log):
         if type(entry) is list:
             for s in entry:
@@ -365,14 +366,29 @@ def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
         k, codes, source = entry
         rows = descend(rows if source is None else source, k, codes)
         if keys is None:
-            keys = sort_keys(pack_states(final, 64 * rows.shape[1]))
+            packed = pack_states(final, 64 * rows.shape[1])
+            occupied = np.zeros(1 << bits, bool)
+            occupied[_bucket(packed, bits)] = True
+            keys = sort_keys(packed)
+            del packed
             order = np.argsort(keys)
             keys = keys[order]
-        found = sort_keys(rows)
+        found = sort_keys(rows.take(np.flatnonzero(occupied[_bucket(rows, bits)]), axis=0))
         pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
         hit = order[pos[keys[pos] == found]]
         first[hit[first[hit] < 0]] = idx
     return dict(zip(final, first.tolist()))
+
+
+def _bucket(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Each packed row's bucket in [0, 2^bits), hashed in one accumulator."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    h = rows[:, 0] * golden
+    for w in range(1, rows.shape[1]):
+        h ^= rows[:, w]
+        h *= golden
+    h >>= np.uint64(64 - bits)
+    return h
 
 
 def _trace_entry(idx: int, shown: View, ref: int) -> TraceEntry:

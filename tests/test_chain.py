@@ -1,10 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse.chain import RESONANCE_TOL, basis_energies, near_resonant_window, nearest_flip
+from spinpulse.chain import (
+    RESONANCE_TOL, basis_energies, descend, near_resonant_window, nearest_flip, pack_states,
+)
 
 CFG2 = sp.ChainConfig(n_qubits=2, larmor_spacing=10.0, base_larmor=100.0)
 
@@ -235,6 +239,28 @@ class TestWindowAgainstFullScan:
                 else:
                     # no flip in the window: the state is left alone
                     assert abs(got[1]) > window
+
+
+class TestDescend:
+    @pytest.mark.parametrize("words, n", [(1, 64), (2, 128), (4, 200), (16, 1000)])
+    def test_equals_masked_assignment_at_word_boundaries(self, words, n):
+        rng = random.Random(n)
+        states = [rng.getrandbits(n) for _ in range(40)] + [0, (1 << n) - 1]
+        rows = pack_states(states, n)
+        for k in {0, 63, 64, 127, n - 1} & set(range(n)):
+            # rows drawn twice or not at all, flipped or not
+            lineage = np.array([2 * rng.randrange(len(states)) + rng.randrange(2)
+                                for _ in range(60)], np.int32)
+            assert 0 < (lineage & 1).sum() < len(lineage)
+            for codes in (lineage, lineage[:0]):
+                expected = rows[codes >> 1]
+                expected[(codes & 1).astype(bool), k // 64] ^= np.uint64(1 << (k % 64))
+                out = descend(rows, k, codes)
+                assert out.dtype == rows.dtype and out.shape == (len(codes), words)
+                assert out.tobytes() == expected.tobytes()
+                assert [int.from_bytes(bytes(r), "little") for r in out] == [
+                    states[c >> 1] ^ ((c & 1) << k) for c in codes.tolist()]
+        assert rows.tobytes() == pack_states(states, n).tobytes()  # input untouched
 
 
 class TestChainConfig:

@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import json
 import math
 
@@ -206,6 +208,30 @@ class TestUnwantedRecords:
         assert "." in first[1] and "," not in first[1]
         assert float(first[1]) > 0
         assert "." in first[5] and float(first[5]) > 0
+
+    def test_csv_equals_csv_writer(self):
+        # the table is joined by hand; csv.writer renders the same bytes
+        report, _ = small_run(doubled=True)
+        records = report.unwanted_records() + [
+            UnwantedRecord(state=0, bitstring="000000", probability=5e-324, generation=-1,
+                           energy=-0.0, flips=0),
+            UnwantedRecord(state=63, bitstring="111111", probability=1.0, generation=12,
+                           energy=-1e300, flips=6),
+        ]
+        above = sp.excitation_profiles(records, report.chain)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(
+            ["state", "probability", "generation_pulse", "energy", "flips", "energy_above_ground"]
+        )
+        for r, a in zip(records, above):
+            writer.writerow([r.bitstring, repr(r.probability), r.generation, repr(r.energy),
+                             r.flips, repr(a)])
+        assert len(records) > 2
+        assert records_csv(records, above) == buf.getvalue()
+        assert records_csv([], []) == buf.getvalue().split("\n")[0] + "\n"
+        with pytest.raises(ValueError):
+            records_csv(records, above[:-1])
 
 
 def _records(probs):

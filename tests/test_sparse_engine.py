@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
-from spinpulse import sparse_engine
+from spinpulse import report as report_module, sparse_engine
 from spinpulse.chain import (
     near_resonant_window, nearest_flip, pack_states, sort_keys, window_spins,
 )
@@ -436,6 +436,29 @@ def random_superposition(n, count, spins, rng):
     return amps
 
 
+def mixed_draw(n, count):
+    """A run on ``n`` qubits from ``count`` random states whose pulses take
+    turns on the packed kernel and the per-state loop: (cfg, spins, initial,
+    pulses), ``spins`` being the window spins of the pulses."""
+    cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
+    # window spins at both ends and where bit k-1 or k+1 lies in another word
+    spins = [k for k in (0, n - 1, 63, 64, 127, 128) if k < n]
+    rng = random.Random(n * 1000 + count)
+    pulses = [
+        sp.Pulse(frequency=cfg.omega(k) + d, rabi=rng.uniform(0.1, 0.5),
+                 duration=rng.uniform(1.0, 20.0))
+        for k in spins for d in (0.0, 2.0, -2.0, 5.0, -1.0)
+    ]
+    rng.shuffle(pulses)
+    # a pulse between two spins' lines addresses no spin; the last one
+    # hands the kernel's rows back to the loop
+    idle = sp.Pulse(frequency=cfg.omega(1) + 50.0, rabi=0.3, duration=2.0)
+    pulses.insert(3, idle)
+    pulses.append(idle)
+    initial = SparseState(random_superposition(n, count, spins, rng), time=3.0)
+    return cfg, spins, initial, pulses
+
+
 class TestPackedRuns:
     """Whole runs through run_protocol equal the per-state reference exactly:
     amplitudes in insertion order, leaked probability, ledger in order."""
@@ -454,22 +477,7 @@ class TestPackedRuns:
             return out
 
         monkeypatch.setattr(sparse_engine, "apply_pulse", watched)
-        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
-        # window spins at both ends and where bit k-1 or k+1 lies in another word
-        spins = [k for k in (0, n - 1, 63, 64, 127, 128) if k < n]
-        rng = random.Random(n * 1000 + count)
-        pulses = [
-            sp.Pulse(frequency=cfg.omega(k) + d, rabi=rng.uniform(0.1, 0.5),
-                     duration=rng.uniform(1.0, 20.0))
-            for k in spins for d in (0.0, 2.0, -2.0, 5.0, -1.0)
-        ]
-        rng.shuffle(pulses)
-        # a pulse between two spins' lines addresses no spin; the last one
-        # hands the kernel's rows back to the loop
-        idle = sp.Pulse(frequency=cfg.omega(1) + 50.0, rabi=0.3, duration=2.0)
-        pulses.insert(3, idle)
-        pulses.append(idle)
-        initial = SparseState(random_superposition(n, count, spins, rng), time=3.0)
+        cfg, spins, initial, pulses = mixed_draw(n, count)
         report = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
         final, leaked, generation, again = reference_run(initial, pulses, cfg, 1e-6)
         assert list(report.final_amps.items()) == final
@@ -484,6 +492,34 @@ class TestPackedRuns:
         # final states that were pruned and stored again keep their first crossing
         assert again
         assert all(report.generation[s] < last for s, last in again.items())
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 129])
+    @pytest.mark.parametrize("count", [PACKED_MIN_STATES // 2 + 20, 2 * PACKED_MIN_STATES])
+    @pytest.mark.parametrize("hashing", ["constant", "shared"])
+    def test_replay_exact_whatever_the_hash(self, n, count, hashing, monkeypatch):
+        # the first-crossing replay's bucket prefilter only narrows the key
+        # search: with every row a candidate, or with the final states in one
+        # bucket together with rows that are not final states, the ledger is
+        # unchanged
+        cfg, _, initial, pulses = mixed_draw(n, count)
+        final_amps, _, generation, _ = reference_run(initial, pulses, cfg, 1e-6)
+        final = {bytes(r) for r in pack_states([s for s, _ in final_amps], 64 * ((n + 63) // 64))}
+        others = []
+
+        def bucket(rows, bits):
+            out = []
+            for row in map(bytes, rows):
+                if row in final or hashing == "constant":
+                    out.append(0)
+                else:  # alternately in the final states' bucket and in bucket 1
+                    others.append(row)
+                    out.append(len(others) % 2)
+            return np.array(out, np.uint64)
+
+        monkeypatch.setattr(report_module, "_bucket", bucket)
+        report = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
+        assert list(report.generation.items()) == generation
+        assert hashing == "constant" or len(others) > 1
 
     def test_lone_states_split_then_pair_up(self):
         # one pulse splits lone states; the next one sees pairs on both sides
