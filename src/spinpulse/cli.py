@@ -235,7 +235,9 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     records = report.unwanted_records()
     above_ground = excitation_profiles(records, report.chain)
-    _write(out_dir, "unwanted.csv", records_csv(records, above_ground))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "unwanted.csv", "w") as fh:
+        records_csv(records, above_ground, fh)
     if records:
         summary = band_classify(records)
         bands = {

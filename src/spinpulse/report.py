@@ -21,7 +21,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, TextIO, TypeVar
 
 import numpy as np
 
@@ -260,18 +260,28 @@ def _read_states(data: dict) -> tuple[dict[int, complex], dict[int, int]] | None
     return amps, dict(zip(amps if texts[len(states):] == states else map(int, ledger), generations))
 
 
-def records_csv(records: list[UnwantedRecord], above_ground: list[float]) -> str:
-    """CSV table of unwanted records, one row each in the given order.
+# rows of ``records_csv`` formatted and written at a time
+CSV_CHUNK_ROWS = 256
+
+
+def records_csv(records: list[UnwantedRecord], above_ground: list[float], out: TextIO) -> None:
+    """Write the CSV table of unwanted records to the text file ``out``, one
+    row each in the given order, ``CSV_CHUNK_ROWS`` rows at a time, so that
+    the table is never held whole.
 
     ``above_ground`` holds each record's energy above the all-zeros ground
     state, as ``excitation_profiles`` returns it; it is the last column.
     """
+    if len(records) != len(above_ground):
+        raise ValueError(f"{len(records)} records but {len(above_ground)} energies above ground")
     # no field needs quoting (bitstrings, float reprs and ints), so the lines
     # are joined directly, as ``csv.writer`` would write them
-    lines = ["state,probability,generation_pulse,energy,flips,energy_above_ground\n"]
-    lines += [f"{r.bitstring},{r.probability!r},{r.generation},{r.energy!r},{r.flips},{above!r}\n"
-              for r, above in zip(records, above_ground, strict=True)]
-    return "".join(lines)
+    out.write("state,probability,generation_pulse,energy,flips,energy_above_ground\n")
+    for i in range(0, len(records), CSV_CHUNK_ROWS):
+        chunk = zip(records[i:i + CSV_CHUNK_ROWS], above_ground[i:i + CSV_CHUNK_ROWS])
+        out.write("".join(
+            f"{r.bitstring},{r.probability!r},{r.generation},{r.energy!r},{r.flips},{above!r}\n"
+            for r, above in chunk))
 
 
 # From this many states on, numpy's fixed cost per call is cheaper than the

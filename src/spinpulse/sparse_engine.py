@@ -125,6 +125,9 @@ class PackedAmps(Mapping):
     def __getitem__(self, state: int) -> complex:
         return self.as_dict()[state]
 
+    def __contains__(self, state) -> bool:
+        return state in self.as_dict()
+
     def __iter__(self):
         return iter(self.as_dict())
 
@@ -253,7 +256,9 @@ def _packed_pulse(amps: PackedAmps, k: int, n: int, blocks: list, cutoff: float,
     active = np.array([blk is not None for _, blk in blocks])[pattern]
     writes_pair = active & ~(upper & paired)
     count = np.where(active, 2 * writes_pair, 1)
-    lineage = 2 * np.repeat(order.astype(np.int32), count)
+    # codes reach 2 S - 1: uint16 up to 32,768 input rows, uint32 above
+    lineage = np.repeat(order.astype(np.min_scalar_type(2 * len(keys) - 1)), count)
+    lineage <<= 1
     out_re, out_im = np.repeat(re, count), np.repeat(im, count)
 
     slot = (np.cumsum(count) - count)[writes_pair]
@@ -382,7 +387,7 @@ def run_protocol(
         "perturbative",
         cfg,
         protocol,
-        dict(amps),
+        amps.as_dict() if type(amps) is PackedAmps else dict(amps),
         leaked,
         time,
         generation,

@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import random
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import pytest
 
 import spinpulse as sp
 from spinpulse.cli import main
-from spinpulse.report import records_csv
+from spinpulse.report import make_report, records_csv
 
 ANALYSIS_FILES = ("unwanted.csv", "bands.json")
 
@@ -687,7 +690,9 @@ class TestAnalyze:
         records = report.unwanted_records()
         table = (analysis / "unwanted.csv").read_text()
         assert table.count("\n") > 10
-        assert table == records_csv(records, sp.excitation_profiles(records, report.chain))
+        expected = io.StringIO()
+        records_csv(records, sp.excitation_profiles(records, report.chain), expected)
+        assert table == expected.getvalue()
         summary = sp.band_classify(records)
         assert json.loads((analysis / "bands.json").read_text()) == {
             "split_gap_decades": summary.split_gap,
@@ -704,6 +709,40 @@ class TestAnalyze:
         assert len(rows) == len(records) + 1 > 10
         assert [row[5] for row in rows[1:]] == [repr(r.energy - ground) for r in records]
         assert [row[0] for row in rows[1:]] == [r.bitstring for r in records]
+
+    def test_memory_beyond_the_records_is_bounded(self, tmp_path, capsys):
+        # unwanted.csv is written a chunk of rows at a time: beyond the loaded
+        # report, its records and their energies, analyze holds less than a
+        # quarter of the table (building it whole holds about twice the table)
+        cfg = sp.ChainConfig(n_qubits=200, larmor_spacing=100.0)
+        rng = random.Random(11)
+        amps = {rng.getrandbits(200): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-2
+                for _ in range(4000)}
+        generation = {s: rng.randrange(400) for s in amps}
+        path = tmp_path / "report.json"
+        make_report("perturbative", cfg, None, amps, 1e-3, 10.0, generation).save(path)
+        del amps, generation
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        def parts():
+            report = sp.RunReport.load(path)
+            records = report.unwanted_records()
+            return report, records, sp.excitation_profiles(records, report.chain)
+
+        held = peak(parts)
+        analyze = peak(lambda: main(["analyze", "--report", str(path),
+                                     "--out", str(tmp_path / "analysis")]))
+        table = (tmp_path / "analysis" / "unwanted.csv").stat().st_size
+        assert "4000 unwanted records" in capsys.readouterr().out
+        assert analyze - held <= table / 4
 
 
 def _keep_only_the_version(doc):

@@ -149,6 +149,32 @@ class TestEvolvePulseExact:
         assert report.probability(1 << 2) >= 1.0 - 20.0 * mu
 
 
+class TestDenseView:
+    def test_leaked_is_the_dropped_mass_itself(self):
+        # 1e-20 below the cutoff next to a kept probability of one: the total
+        # minus the kept sum rounds it away
+        re, im = np.array([1.0, 0.0, 1e-10, 0.0]), np.array([0.0, 0.0, 0.0, -1e-10])
+        amps, leaked = dense_view(re, im, 1e-15)
+        assert amps == {0: 1 + 0j}
+        assert leaked == math.fsum([1e-10**2, 1e-10**2]) > 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_leaked_never_negative(self, seed, bits):
+        # cut a random normalized vector at one of its four smallest
+        # probabilities, so that the dropped mass is far below one
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=1 << bits) + 1j * rng.normal(size=1 << bits)
+        c /= np.linalg.norm(c)
+        probs = c.real**2 + c.imag**2
+        threshold = np.sort(probs)[rng.integers(4)]
+        amps, leaked = dense_view(c.real, c.imag, threshold)
+        dropped = math.fsum(probs[probs < threshold].tolist())
+        assert leaked >= 0.0
+        assert leaked == pytest.approx(dropped, rel=1e-12, abs=0.0)
+        assert set(amps) == set(np.flatnonzero(probs >= threshold).tolist())
+
+
 def reference_run(pulses, cfg, cutoff):
     """``run_protocol_exact`` from basis state 0, written as a plain loop that
     keeps every eigensystem until the end: (amps, leaked, ledger items of

@@ -3,12 +3,15 @@ import functools
 import io
 import json
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinpulse as sp
+from spinpulse import report as report_module
 from spinpulse.report import (
     UnwantedRecord, accumulated_reference_phase, make_report, records_csv, reporting_cutoff,
     run_pulses,
@@ -33,7 +36,14 @@ def small_run(trace=False, doubled=False):
 def unwanted_table(report):
     """The unwanted.csv that ``analyze`` writes for ``report``."""
     records = report.unwanted_records()
-    return records_csv(records, sp.excitation_profiles(records, report.chain))
+    return csv_text(records, sp.excitation_profiles(records, report.chain))
+
+
+def csv_text(records, above):
+    """What ``records_csv`` writes for ``records``."""
+    buf = io.StringIO()
+    records_csv(records, above, buf)
+    return buf.getvalue()
 
 
 class TestRunReportSerialization:
@@ -210,7 +220,9 @@ class TestUnwantedRecords:
         assert "." in first[5] and float(first[5]) > 0
 
     def test_csv_equals_csv_writer(self):
-        # the table is joined by hand; csv.writer renders the same bytes
+        # the table is joined by hand, a chunk of rows at a time; csv.writer
+        # renders the same bytes for 0, 1, C - 1, C and C + 1 rows
+        chunk = report_module.CSV_CHUNK_ROWS
         report, _ = small_run(doubled=True)
         records = report.unwanted_records() + [
             UnwantedRecord(state=0, bitstring="000000", probability=5e-324, generation=-1,
@@ -218,20 +230,31 @@ class TestUnwantedRecords:
             UnwantedRecord(state=63, bitstring="111111", probability=1.0, generation=12,
                            energy=-1e300, flips=6),
         ]
+        rng = random.Random(5)
+        while len(records) <= chunk:
+            s = rng.randrange(64)
+            records.append(UnwantedRecord(
+                state=s, bitstring=f"{s:06b}", probability=10 ** rng.uniform(-300, 0),
+                generation=rng.randrange(-1, 400), energy=rng.uniform(-1e4, 1e4),
+                flips=rng.randrange(6)))
         above = sp.excitation_profiles(records, report.chain)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["state", "probability", "generation_pulse", "energy", "flips", "energy_above_ground"]
-        )
-        for r, a in zip(records, above):
-            writer.writerow([r.bitstring, repr(r.probability), r.generation, repr(r.energy),
-                             r.flips, repr(a)])
-        assert len(records) > 2
-        assert records_csv(records, above) == buf.getvalue()
-        assert records_csv([], []) == buf.getvalue().split("\n")[0] + "\n"
+        for n in (0, 1, chunk - 1, chunk, chunk + 1):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["state", "probability", "generation_pulse", "energy", "flips",
+                             "energy_above_ground"])
+            for r, a in zip(records[:n], above[:n]):
+                writer.writerow([r.bitstring, repr(r.probability), r.generation,
+                                 repr(r.energy), r.flips, repr(a)])
+            assert csv_text(records[:n], above[:n]) == buf.getvalue()
+            # the header, then one write per chunk of rows
+            writes = []
+            records_csv(records[:n], above[:n], mock.Mock(write=writes.append))
+            assert len(writes) == 1 + -(-n // chunk)
+        out = io.StringIO()
         with pytest.raises(ValueError):
-            records_csv(records, above[:-1])
+            records_csv(records, above[:-1], out)
+        assert out.getvalue() == ""
 
 
 def _records(probs):
@@ -279,7 +302,7 @@ class TestExcitationProfiles:
         )
         above = sp.excitation_profiles(recs, CFG)
         assert above == [pytest.approx(0.0, abs=1e-12)]
-        row = records_csv(recs, above).splitlines()[1].split(",")
+        row = csv_text(recs, above).splitlines()[1].split(",")
         assert row[4:] == ["0", repr(above[0])]
 
     def test_single_flip_energy_matches_transition(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import spinpulse as sp
 from spinpulse import report as report_module, sparse_engine
 from spinpulse.chain import (
-    near_resonant_window, nearest_flip, pack_states, sort_keys, window_spins,
+    descend, near_resonant_window, nearest_flip, pack_states, sort_keys, window_spins,
 )
 from spinpulse.error_model import _block_modes
 from spinpulse.sparse_engine import (
@@ -463,9 +463,18 @@ class TestPackedRuns:
     """Whole runs through run_protocol equal the per-state reference exactly:
     amplitudes in insertion order, leaked probability, ledger in order."""
 
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """States looked up one at a time in a PackedAmps: a run reads packed
+        states through the dict ``as_dict`` holds instead."""
+        calls, getitem = [], PackedAmps.__getitem__
+        monkeypatch.setattr(PackedAmps, "__getitem__",
+                            lambda self, s: calls.append(s) or getitem(self, s))
+        return calls
+
     @pytest.mark.parametrize("n", [64, 65, 128, 129])
     @pytest.mark.parametrize("count", [PACKED_MIN_STATES // 2 + 20, 2 * PACKED_MIN_STATES])
-    def test_equal_to_reference_run(self, n, count, monkeypatch):
+    def test_equal_to_reference_run(self, n, count, monkeypatch, lookups):
         packed_calls, kinds = [], []
         kernel, apply = sparse_engine._packed_pulse, sparse_engine.apply_pulse
         monkeypatch.setattr(sparse_engine, "_packed_pulse",
@@ -492,6 +501,7 @@ class TestPackedRuns:
         # final states that were pruned and stored again keep their first crossing
         assert again
         assert all(report.generation[s] < last for s, last in again.items())
+        assert not lookups
 
     @pytest.mark.parametrize("n", [64, 65, 128, 129])
     @pytest.mark.parametrize("count", [PACKED_MIN_STATES // 2 + 20, 2 * PACKED_MIN_STATES])
@@ -521,7 +531,7 @@ class TestPackedRuns:
         assert list(report.generation.items()) == generation
         assert hashing == "constant" or len(others) > 1
 
-    def test_lone_states_split_then_pair_up(self):
+    def test_lone_states_split_then_pair_up(self, lookups):
         # one pulse splits lone states; the next one sees pairs on both sides
         cfg = sp.ChainConfig(n_qubits=130, larmor_spacing=100.0)
         rng = random.Random(7)
@@ -532,6 +542,7 @@ class TestPackedRuns:
         report = sp.run_protocol(initial, [pulse, pulse, pulse], cfg, cutoff=1e-5)
         final, leaked, generation, _ = reference_run(initial, [pulse] * 3, cfg, 1e-5)
         assert len(final) > len(amps)
+        assert not lookups  # the run ends on packed states
         assert list(report.final_amps.items()) == final
         assert report.leaked == leaked
         assert list(report.generation.items()) == generation
@@ -547,6 +558,61 @@ class TestPackedRuns:
         loop = sp.run_protocol(SparseState.from_basis(0), proto, cfg, cutoff=5e-7, trace=True)
         assert repr(packed.trace) == repr(loop.trace)
         assert packed.trace_csv() == loop.trace_csv()
+
+
+class TestLineageType:
+    """The kernel's codes, 2 x input row + flipped bit, come in the narrowest
+    unsigned type that holds 2 S - 1 for S input rows: uint16 up to 32,768
+    rows, uint32 above."""
+
+    CFG = sp.ChainConfig(n_qubits=200, larmor_spacing=100.0)
+    PULSE = sp.Pulse(frequency=CFG.omega(100) + 2.0, rabi=0.3, duration=5.0)
+
+    def superposition(self, count, seed):
+        """``count`` states, the last one in an active pair, so that the last
+        code is 2 count - 1."""
+        rng = random.Random(seed)
+        pairs = PulsePairs(self.PULSE, self.CFG, 0.0)
+        amps = random_superposition(200, count - 1, [99, 100, 101], rng)
+        amps = dict(list(amps.items())[:count - 1])
+        last = next(s for s in iter(lambda: rng.getrandbits(200), None)
+                    if s not in amps and pairs.pair(s) is not None)
+        amps[last] = 0.5 + 0.25j
+        return amps
+
+    @pytest.mark.parametrize("count, dtype", [(32768, np.uint16), (32769, np.uint32)])
+    def test_kernel_at_the_type_boundary(self, count, dtype):
+        state = SparseState(self.superposition(count, count))
+        out = apply_pulse(state, self.PULSE, self.CFG, 1e-6)
+        expected = prune(reference_apply_pulse(state, self.PULSE, self.CFG), 1e-6)
+        assert list(out.amps.items()) == list(expected.amps.items())
+        assert out.leaked == expected.leaked
+        k, codes, source = out.amps.lineage
+        assert codes.dtype == dtype
+        assert codes.max() == 2 * count - 1
+        assert np.array_equal(source, pack_states(state.amps, 200))
+        assert np.array_equal(descend(source, k, codes), pack_states(expected.amps, 200))
+
+    def test_replay_of_both_types(self, monkeypatch):
+        # a pulse on 32,768 rows logs uint16 codes and leaves more rows than
+        # that, so the next one logs uint32 codes; the ledger is the reference's
+        dtypes, kernel = [], sparse_engine._packed_pulse
+
+        def watched(*args):
+            out = kernel(*args)
+            dtypes.append(out[0].lineage[1].dtype)
+            return out
+
+        monkeypatch.setattr(sparse_engine, "_packed_pulse", watched)
+        initial = SparseState(self.superposition(32768, 1))
+        pulses = [self.PULSE, sp.Pulse(frequency=self.CFG.omega(101), rabi=0.2, duration=7.0)]
+        report = sp.run_protocol(initial, pulses, self.CFG, cutoff=1e-6)
+        final, leaked, generation, _ = reference_run(initial, pulses, self.CFG, 1e-6)
+        assert dtypes == [np.uint16, np.uint32]
+        assert list(report.final_amps.items()) == final
+        assert report.leaked == leaked
+        assert list(report.generation.items()) == generation
+        assert set(report.generation.values()) == {0, 1, 2}
 
 
 class TestPackedRows:
