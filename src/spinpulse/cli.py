@@ -237,7 +237,7 @@ def cmd_analyze(args) -> int:
     above_ground = excitation_profiles(records, report.chain)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "unwanted.csv", "w") as fh:
-        records_csv(records, above_ground, fh)
+        records_csv(records, above_ground, report.chain.n_qubits, fh)
     if records:
         summary = band_classify(records)
         bands = {

@@ -27,7 +27,6 @@ import numpy as np
 
 from .chain import (
     ChainConfig, basis_energies, basis_energy, descend, flip_count, pack_states, sort_keys,
-    state_to_string,
 )
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
@@ -58,7 +57,6 @@ class UnwantedRecord:
     """One unwanted basis state in the final superposition."""
 
     state: int
-    bitstring: str
     probability: float
     generation: int
     energy: float
@@ -106,7 +104,6 @@ class RunReport:
         """Final states above cutoff that are not protocol targets, in
         generation order (ties broken by ascending basis index)."""
         wanted = self.wanted_states
-        n = self.chain.n_qubits
         kept = [(s, c) for s, c in self.final_amps.items() if s not in wanted]
         energies = basis_energies([s for s, _ in kept], self.chain)
         records = []
@@ -114,7 +111,6 @@ class RunReport:
             records.append(
                 UnwantedRecord(
                     state=s,
-                    bitstring=state_to_string(s, n),
                     probability=self.convention_factor
                     * (c.real * c.real + c.imag * c.imag),
                     generation=self.generation.get(s, -1),
@@ -264,10 +260,12 @@ def _read_states(data: dict) -> tuple[dict[int, complex], dict[int, int]] | None
 CSV_CHUNK_ROWS = 256
 
 
-def records_csv(records: list[UnwantedRecord], above_ground: list[float], out: TextIO) -> None:
+def records_csv(records: list[UnwantedRecord], above_ground: list[float], n_qubits: int,
+                out: TextIO) -> None:
     """Write the CSV table of unwanted records to the text file ``out``, one
     row each in the given order, ``CSV_CHUNK_ROWS`` rows at a time, so that
-    the table is never held whole.
+    the table is never held whole.  Each state is written as its N-bit
+    string (``chain.state_to_string``), formatted with its chunk.
 
     ``above_ground`` holds each record's energy above the all-zeros ground
     state, as ``excitation_profiles`` returns it; it is the last column.
@@ -280,7 +278,8 @@ def records_csv(records: list[UnwantedRecord], above_ground: list[float], out: T
     for i in range(0, len(records), CSV_CHUNK_ROWS):
         chunk = zip(records[i:i + CSV_CHUNK_ROWS], above_ground[i:i + CSV_CHUNK_ROWS])
         out.write("".join(
-            f"{r.bitstring},{r.probability!r},{r.generation},{r.energy!r},{r.flips},{above!r}\n"
+            f"{r.state:0{n_qubits}b},{r.probability!r},{r.generation},{r.energy!r},{r.flips},"
+            f"{above!r}\n"
             for r, above in chunk))
 
 

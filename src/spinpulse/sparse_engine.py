@@ -34,21 +34,26 @@ the ``leaked`` sum: states are visited in ascending order; one out of the
 window is written as it is, and a pair when its first stored member comes
 up, lower level first.
 
-Packed state: a pulse with one spin in its window and at least
+Packed state: a pulse with one spin k in its window and at least
 ``PACKED_MIN_STATES`` stored states runs on ``PackedAmps``, (S, ceil(N/64))
-uint64 rows plus float64 real and imaginary parts that stay packed across
-such pulses.  The pulse is a fixed number of array operations: a stable sort
-by value, a search for each lower state's partner, slots by cumulative sum,
-and the blocks in split real and imaginary arithmetic, which rounds as
-CPython's complex product does (numpy's complex multiply does not).  Rows
-are gathered with ``take``, several times cheaper than fancy indexing on
-(S, W) arrays, and each pair's block coefficients come from one real table
-indexed by its neighbour pattern.  The prune runs in the kernel, so rows are
-built for the kept slots only, and the output keeps their lineage, which
-``report.run_pulses`` logs for the first-crossing ledger.  Other pulses, and
-smaller states, run the per-state loop, whose fixed cost per pulse is ~10x
-lower, and then ``prune``.  Both give bit-identical amplitudes, order and
-``leaked``.
+uint64 rows plus one complex128 amplitude array, which stay packed across
+such pulses.  The pulse is a fixed number of array operations on one
+big-endian key matrix, the rows' words most significant first, whose bytes
+order the rows as the integers they hold: a stable sort of its ``void``
+view; each lower state's partner, made by OR-ing bit k into one key column,
+searched in the sorted ``S`` view and confirmed by one key comparison; and
+each row's neighbourhood code, bits k-1, k and k+1 as ``PulsePairs.pair``
+reads them, which indexes one table per pulse (``_code_table``).  The table
+gives the slots a row emits, which one holds the row with bit k flipped, and
+the 16 real coefficients of its pair's two outputs, computed in split real
+and imaginary arithmetic that rounds as CPython's complex product does
+(numpy's complex multiply does not).  Slots come from a cumulative sum, and
+each permutation of the amplitudes is one ``take``.  The prune runs in the
+kernel, so rows are built (``chain.descend``) for the kept slots only, and
+the output keeps their lineage, which ``report.run_pulses`` logs for the
+first-crossing ledger.  Other pulses, and smaller states, run the per-state
+loop, whose fixed cost per pulse is ~15x lower, and then ``prune``.  Both
+give bit-identical amplitudes, order and ``leaked``.
 
 Not modelled: far-detuned leakage.  Flips outside the near-resonant window
 are dropped, not propagated, and that channel is the dominant gate error at
@@ -73,46 +78,47 @@ from .chain import (
     near_resonant_window,
     nearest_flip,
     pack_states,
-    sort_keys,
     window_spins,
 )
 from .pulses import Protocol, Pulse, as_protocol
 from .report import RunReport, make_report, reporting_cutoff, run_pulses
 
 # Stored states from which a pulse with one spin in its window runs the packed
-# kernel: below it the per-state loop is faster (measured at N=200 and 1000).
-PACKED_MIN_STATES = 150
+# kernel.  Measured per pulse along the N=200 Fig. 2 and N=1000 jittered runs,
+# each path with its share of the first-crossing log and replay (best of 5, two
+# interleaved sets, 2-core host): the kernel wins from 100-125 states at N=200
+# and from 125-150 at N=1000.  It took 258-333 us a pulse at 125-149 states
+# against 359-363 us for the loop (N=200), 413-420 us at 150-174 against
+# 473-507 us (N=1000), and 209-332 us at 25-49 states against 96-129 us.
+PACKED_MIN_STATES = 125
 
 
 class PackedAmps(Mapping):
-    """Amplitudes of S states as arrays: ``rows`` from ``chain.pack_states``,
-    ``re`` and ``im``.  ``values`` and ``get``, which a traced run calls every
-    pulse, read the arrays; other mapping access builds an int-keyed dict on
-    first use.  The kernel's output carries ``lineage`` = (k, codes, input
-    rows), from which ``chain.descend`` rebuilds ``rows``; None otherwise."""
+    """Amplitudes of S states as arrays: ``rows`` from ``chain.pack_states``
+    and the complex128 amplitudes ``c``.  ``values`` and ``get``, which a
+    traced run calls every pulse, read the arrays; other mapping access
+    builds an int-keyed dict on first use.  The kernel's output carries
+    ``lineage`` = (k, codes, input rows), from which ``chain.descend``
+    rebuilds ``rows``; None otherwise."""
 
-    def __init__(self, rows: np.ndarray, re: np.ndarray, im: np.ndarray,
-                 lineage: tuple | None = None):
-        self.rows, self.re, self.im, self.lineage = rows, re, im, lineage
+    def __init__(self, rows: np.ndarray, c: np.ndarray, lineage: tuple | None = None):
+        self.rows, self.c, self.lineage = rows, c, lineage
         self._dict: dict[int, complex] | None = None
 
     @classmethod
     def pack(cls, amps: Mapping[int, complex], n_qubits: int) -> "PackedAmps":
-        c = np.fromiter(amps.values(), complex, len(amps))
-        return cls(pack_states(amps, n_qubits), c.real.copy(), c.imag.copy())
+        return cls(pack_states(amps, n_qubits), np.fromiter(amps.values(), complex, len(amps)))
 
     def as_dict(self) -> dict[int, complex]:
         if self._dict is None:
             # numpy drops the trailing zero bytes of an ``S`` item, as little-endian allows
             rows = self.rows.view(f"S{8 * self.rows.shape[1]}").ravel().tolist()
             states = [int.from_bytes(b, "little") for b in rows]
-            self._dict = dict(zip(states, map(complex, self.re.tolist(), self.im.tolist())))
+            self._dict = dict(zip(states, self.c.tolist()))
         return self._dict
 
     def values(self) -> list[complex]:
-        c = np.empty(len(self.re), complex)
-        c.real, c.imag = self.re, self.im
-        return c.tolist()
+        return self.c.tolist()
 
     def get(self, state: int, default=None):
         try:
@@ -120,7 +126,7 @@ class PackedAmps(Mapping):
         except (AttributeError, OverflowError):  # not an int, or wider than the rows
             return default
         hit = np.flatnonzero(self.rows.view(f"S{len(key)}").ravel() == key)
-        return complex(self.re[hit[0]], self.im[hit[0]]) if len(hit) else default
+        return complex(self.c[hit[0]]) if len(hit) else default
 
     def __getitem__(self, state: int) -> complex:
         return self.as_dict()[state]
@@ -132,7 +138,7 @@ class PackedAmps(Mapping):
         return iter(self.as_dict())
 
     def __len__(self) -> int:
-        return len(self.re)
+        return len(self.c)
 
 
 @dataclass
@@ -221,76 +227,114 @@ def _mul(a, b):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _packed_pulse(amps: PackedAmps, k: int, n: int, blocks: list, cutoff: float, leaked: float):
+def _code_table(pairs: PulsePairs):
+    """The packed kernel's table for a pulse with one window spin k, indexed
+    by a row's neighbourhood code: bits k-1, k and k+1 of its state (those
+    ``PulsePairs.pair`` reads), plus 8 for a bit-k row whose partner is
+    stored.  Returns, per code:
+
+    - ``count``, the slots the row emits: 1 out of the window, 2 for the
+      first stored member of a pair, 0 for a second;
+    - ``flip``, the slot (0 for m, 1 for p) that holds the row with bit k
+      flipped, the other one holding the row itself;
+    - ``coef``, shape (8, 2, 16): the real and imaginary parts of alpha,
+      beta, gamma and delta in out = (x alpha) beta + (y gamma) delta for
+      the m and p slots, x being the stored amplitude and y its partner's.
+
+    The stored amplitude's term comes first in both slots, so in the slot of
+    the level that is not stored the two terms of the loop's sum change
+    places; IEEE addition commutes exactly, signed zeros included.
+    """
+    blocks = [pairs.pattern(j) for j in range(4)]
+    count, flip, coef = [], [], []
+    for code in range(8):
+        e, blk = blocks[code & 1 | code >> 1 & 2]
+        if blk is None:
+            count.append(1)
+            flip.append(0)
+            coef.extend((0j,) * 8)
+            continue
+        diag, cross, ph_m, ph_xc, diag_c, ph_mc, ph_x = blk
+        own_m = (-e if code & 2 else e) > 0.0  # the stored state is the lower level
+        count.append(2)
+        flip.append(own_m)
+        coef.extend((diag, ph_m, cross, ph_xc, cross, ph_x, diag_c, ph_mc) if own_m
+                    else (cross, ph_xc, diag, ph_m, diag_c, ph_mc, cross, ph_x))
+    # code + 8: the row is written with its partner, if the pair is active
+    count += [0 if code & 2 and n == 2 else n for code, n in enumerate(count)]
+    coef = np.fromiter(coef + coef, complex, 128).view(float).reshape(16, 2, 8)
+    return np.array(count), np.array(flip + flip, np.intp), coef.transpose(2, 1, 0).copy()
+
+
+def _neighbourhood_codes(keys: np.ndarray, k: int) -> np.ndarray:
+    """``s << 1 >> k & 7`` of the state s of each row of the big-endian key
+    matrix ``keys`` (words most significant first): bits k-1, k and k+1."""
+    words = keys.shape[1]
+    if k == 0:
+        return keys[:, -1] << np.uint64(1) & np.uint64(7)
+    word, shift = divmod(k - 1, 64)
+    code = keys[:, words - 1 - word] >> np.uint64(shift)
+    if shift >= 62 and word + 1 < words:  # bit k+1, or bits k and k+1, in the next word
+        code |= keys[:, words - 2 - word] << np.uint64(64 - shift)
+    code &= np.uint64(7)
+    return code
+
+
+def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked: float):
     """The per-state loop's pulse on packed rows, for the one window spin ``k``,
     then its prune: (kept amplitudes, ``leaked`` plus the dropped probability).
 
-    ``blocks[j]`` is (e, block) of neighbour pattern j = bit(k-1) + 2 bit(k+1).
-    Rows are built for the kept slots only; their ``lineage`` codes each one's
-    row in ``amps`` and whether bit k was flipped (``chain.descend``).
+    ``table`` is ``_code_table`` of the pulse.  Rows are built for the kept
+    slots only; their ``lineage`` codes each one's row in ``amps`` and whether
+    bit k was flipped (``chain.descend``).
     """
-    keys = sort_keys(amps.rows)
-    order = np.argsort(keys, kind="stable")
-    keys, rows = keys[order], amps.rows.take(order, axis=0)
-    re, im = amps.re.take(order), amps.im.take(order)
-    word, mask = k // 64, np.uint64(1 << (k % 64))
-    upper = (rows[:, word] & mask) != 0
-    # pair each lower state s with s + 2^k, keeping the partner's amplitude
-    lower = np.flatnonzero(~upper)
-    targets = rows.take(lower, axis=0)
-    targets[:, word] |= mask
-    pos = np.minimum(np.searchsorted(keys, sort_keys(targets)), len(keys) - 1)
-    hit = (rows.take(pos, axis=0) == targets).all(axis=1)
-    lower, pos = lower[hit], pos[hit]
-    paired = np.zeros(len(keys), bool)
-    paired[lower] = paired[pos] = True
-    other_re, other_im = np.zeros(len(keys)), np.zeros(len(keys))
-    other_re[lower], other_im[lower] = re.take(pos), im.take(pos)
-    pattern = np.zeros(len(keys), np.intp)
-    for weight, i in ((1, k - 1), (2, k + 1)):
-        if 0 <= i < n:
-            bits = (rows[:, i // 64] >> np.uint64(i % 64)) & np.uint64(1)
-            pattern += weight * bits.astype(np.intp)
+    count_of, flip_of, coef = table
+    rows, words = amps.rows, amps.rows.shape[1]
+    # big-endian keys, words most significant first: their bytes order the
+    # rows as the integers they hold
+    keys = rows[:, ::-1].astype(">u8")
+    order = np.argsort(keys.view(f"V{8 * words}").ravel(), kind="stable")
+    keys, c = keys.take(order, axis=0), amps.c.take(order)
+    code = _neighbourhood_codes(keys, k)
+    # pair each lower state s with s + 2^k, if it is stored
+    lower = np.flatnonzero(code & np.uint64(2) == 0)
+    targets = keys.take(lower, axis=0)
+    targets[:, words - 1 - k // 64] |= np.uint64(1 << k % 64)
+    keys, targets = (x.view(f"S{8 * words}").ravel() for x in (keys, targets))
+    pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
+    hit = np.flatnonzero(keys.take(pos) == targets)
+    lower, pos = lower.take(hit), pos.take(hit)
+    code[pos] |= np.uint64(8)
 
     # each out-of-window state is written alone, each pair at its first stored member
-    active = np.array([blk is not None for _, blk in blocks])[pattern]
-    writes_pair = active & ~(upper & paired)
-    count = np.where(active, 2 * writes_pair, 1)
+    count = count_of.take(code)
     # codes reach 2 S - 1: uint16 up to 32,768 input rows, uint32 above
-    lineage = np.repeat(order.astype(np.min_scalar_type(2 * len(keys) - 1)), count)
+    lineage = np.repeat(order.astype(np.min_scalar_type(2 * len(c) - 1)), count)
     lineage <<= 1
-    out_re, out_im = np.repeat(re, count), np.repeat(im, count)
+    out = np.repeat(c, count)
+    lead = np.flatnonzero(count == 2)
+    slot = np.cumsum(count).take(lead) - 2  # the m slot; the p slot follows
+    code = code.take(lead)
+    lineage[slot + flip_of.take(code)] += 1
+    other = np.zeros(len(c), complex)
+    other[lower] = c.take(pos)
+    x, y = c.take(lead), other.take(lead)
+    coef = coef.take(code, axis=2)
+    first = _mul(_mul((x.real, x.imag), coef[0:2]), coef[2:4])
+    second = _mul(_mul((y.real, y.imag), coef[4:6]), coef[6:8])
+    pair = np.empty((2, len(lead)), complex)
+    np.add(first[0], second[0], out=pair.real)
+    np.add(first[1], second[1], out=pair.imag)
+    out[slot], out[slot + 1] = pair
 
-    slot = (np.cumsum(count) - count)[writes_pair]
-    lead = np.flatnonzero(writes_pair)
-    pat = pattern[lead]
-    e = np.array([e for e, _ in blocks])[pat]
-    own_m = np.where(upper[lead], -e, e) > 0.0  # the stored state is the lower level
-    pairs = (np.stack((re[lead], other_re[lead])), np.stack((im[lead], other_im[lead])))
-    c = [np.where(own_m, x, x[::-1]) for x in pairs]  # rows C_m, C_p
-    # per pattern: (diag, diag*), (ph_m, ph_m*), (cross, cross), (ph_x*, ph_x),
-    # as one real table (quantity, real or imaginary part, m or p row, pattern)
-    table = [[blk[i] for i in (0, 4, 2, 5, 1, 1, 3, 6)] if blk else [0j] * 8 for _, blk in blocks]
-    table = np.array(table).reshape(4, 4, 2).transpose(1, 2, 0)
-    diag, ph_m, cross, ph_x = np.stack((table.real, table.imag), axis=1).take(pat, axis=3)
-    first = _mul(_mul(c, diag), ph_m)
-    second = _mul(_mul([x[::-1] for x in c], cross), ph_x)
-    # the m then the p slot of each pair; bit k of the stored row is flipped in
-    # the p slot when the stored state is the lower level, else in the m slot
-    lineage[slot + own_m] += 1
-    for j in (0, 1):
-        out_re[slot + j] = first[0][j] + second[0][j]
-        out_im[slot + j] = first[1][j] + second[1][j]
-
-    p = out_re * out_re + out_im * out_im
+    p = out.real * out.real + out.imag * out.imag
     drop = p < cutoff
     if drop.any():
         # summed in emission order, one addition at a time, as ``prune`` does
         leaked = float(np.add.accumulate(np.append(leaked, p[drop]))[-1])
-        keep = ~drop
-        lineage, out_re, out_im = lineage[keep], out_re[keep], out_im[keep]
-    kept = PackedAmps(descend(amps.rows, k, lineage), out_re, out_im, (k, lineage, amps.rows))
-    return kept, leaked
+        keep = np.flatnonzero(~drop)
+        lineage, out = lineage.take(keep), out.take(keep)
+    return PackedAmps(descend(rows, k, lineage), out, (k, lineage, rows)), leaked
 
 
 def apply_pulse(
@@ -311,9 +355,8 @@ def apply_pulse(
         # through ABCMeta at ~0.5 us a call, a few per cent of a 2-state pulse
         if type(amps) is not PackedAmps:
             amps = PackedAmps.pack(amps, cfg.n_qubits)
-        blocks = [pairs.pattern(j) for j in range(4)]
         packed, leaked = _packed_pulse(
-            amps, pairs.spins[0], cfg.n_qubits, blocks, cutoff, state.leaked
+            amps, pairs.spins[0], _code_table(pairs), cutoff, state.leaked
         )
         return SparseState(packed, leaked, t0 + pulse.duration)
     if type(amps) is PackedAmps:

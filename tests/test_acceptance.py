@@ -88,8 +88,9 @@ class TestCriterion1UnwantedStates:
         )
         assert ok, (
             f"unwanted-state count {count} outside 7385 +/- 5%: the count is "
-            "set by second-order states near the cutoff (3133 of 3530 lie in "
-            "[1e-6, 3e-6)) that pruning keeps or drops by a hair; no stored "
+            "set by two-domain states that pruning at the cutoff lifts to it "
+            "(3133 of 3530 lie in [1e-6, 3e-6); converged runs keep every one "
+            "at or below 3.64e-7) and keeps or drops by a hair; no stored "
             "cutoff near 0.5e-6 gives more than ~5400, and the published "
             "bookkeeping is not in the repository; see notes/decisions.md"
         )

@@ -691,7 +691,8 @@ class TestAnalyze:
         table = (analysis / "unwanted.csv").read_text()
         assert table.count("\n") > 10
         expected = io.StringIO()
-        records_csv(records, sp.excitation_profiles(records, report.chain), expected)
+        records_csv(records, sp.excitation_profiles(records, report.chain),
+                    report.chain.n_qubits, expected)
         assert table == expected.getvalue()
         summary = sp.band_classify(records)
         assert json.loads((analysis / "bands.json").read_text()) == {
@@ -708,7 +709,8 @@ class TestAnalyze:
         assert rows[0][5] == "energy_above_ground"
         assert len(rows) == len(records) + 1 > 10
         assert [row[5] for row in rows[1:]] == [repr(r.energy - ground) for r in records]
-        assert [row[0] for row in rows[1:]] == [r.bitstring for r in records]
+        n = report.chain.n_qubits
+        assert [row[0] for row in rows[1:]] == [sp.state_to_string(r.state, n) for r in records]
 
     def test_memory_beyond_the_records_is_bounded(self, tmp_path, capsys):
         # unwanted.csv is written a chunk of rows at a time: beyond the loaded

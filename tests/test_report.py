@@ -36,13 +36,13 @@ def small_run(trace=False, doubled=False):
 def unwanted_table(report):
     """The unwanted.csv that ``analyze`` writes for ``report``."""
     records = report.unwanted_records()
-    return csv_text(records, sp.excitation_profiles(records, report.chain))
+    return csv_text(records, sp.excitation_profiles(records, report.chain), report.chain.n_qubits)
 
 
-def csv_text(records, above):
+def csv_text(records, above, n_qubits=CFG.n_qubits):
     """What ``records_csv`` writes for ``records``."""
     buf = io.StringIO()
-    records_csv(records, above, buf)
+    records_csv(records, above, n_qubits, buf)
     return buf.getvalue()
 
 
@@ -225,16 +225,14 @@ class TestUnwantedRecords:
         chunk = report_module.CSV_CHUNK_ROWS
         report, _ = small_run(doubled=True)
         records = report.unwanted_records() + [
-            UnwantedRecord(state=0, bitstring="000000", probability=5e-324, generation=-1,
-                           energy=-0.0, flips=0),
-            UnwantedRecord(state=63, bitstring="111111", probability=1.0, generation=12,
-                           energy=-1e300, flips=6),
+            UnwantedRecord(state=0, probability=5e-324, generation=-1, energy=-0.0, flips=0),
+            UnwantedRecord(state=63, probability=1.0, generation=12, energy=-1e300, flips=6),
         ]
         rng = random.Random(5)
         while len(records) <= chunk:
             s = rng.randrange(64)
             records.append(UnwantedRecord(
-                state=s, bitstring=f"{s:06b}", probability=10 ** rng.uniform(-300, 0),
+                state=s, probability=10 ** rng.uniform(-300, 0),
                 generation=rng.randrange(-1, 400), energy=rng.uniform(-1e4, 1e4),
                 flips=rng.randrange(6)))
         above = sp.excitation_profiles(records, report.chain)
@@ -244,24 +242,23 @@ class TestUnwantedRecords:
             writer.writerow(["state", "probability", "generation_pulse", "energy", "flips",
                              "energy_above_ground"])
             for r, a in zip(records[:n], above[:n]):
-                writer.writerow([r.bitstring, repr(r.probability), r.generation,
+                writer.writerow([f"{r.state:06b}", repr(r.probability), r.generation,
                                  repr(r.energy), r.flips, repr(a)])
             assert csv_text(records[:n], above[:n]) == buf.getvalue()
             # the header, then one write per chunk of rows
             writes = []
-            records_csv(records[:n], above[:n], mock.Mock(write=writes.append))
+            records_csv(records[:n], above[:n], 6, mock.Mock(write=writes.append))
             assert len(writes) == 1 + -(-n // chunk)
         out = io.StringIO()
         with pytest.raises(ValueError):
-            records_csv(records, above[:-1], out)
+            records_csv(records, above[:-1], 6, out)
         assert out.getvalue() == ""
 
 
 def _records(probs):
     return [
         UnwantedRecord(
-            state=i, bitstring=f"{i:06b}", probability=p, generation=i, energy=0.0,
-            flips=1,
+            state=i, probability=p, generation=i, energy=0.0, flips=1,
         )
         for i, p in enumerate(probs)
     ]
@@ -297,8 +294,7 @@ class TestExcitationProfiles:
     def test_ground_state_profile(self):
         recs = _records([1e-3])
         recs[0] = UnwantedRecord(
-            state=0, bitstring="000000", probability=1e-3, generation=0,
-            energy=sp.basis_energy(0, CFG), flips=0,
+            state=0, probability=1e-3, generation=0, energy=sp.basis_energy(0, CFG), flips=0,
         )
         above = sp.excitation_profiles(recs, CFG)
         assert above == [pytest.approx(0.0, abs=1e-12)]
@@ -308,8 +304,8 @@ class TestExcitationProfiles:
     def test_single_flip_energy_matches_transition(self):
         state = 1 << 3
         rec = UnwantedRecord(
-            state=state, bitstring=sp.state_to_string(state, 6), probability=1e-4,
-            generation=2, energy=sp.basis_energy(state, CFG), flips=1,
+            state=state, probability=1e-4, generation=2, energy=sp.basis_energy(state, CFG),
+            flips=1,
         )
         [above] = sp.excitation_profiles([rec], CFG)
         assert above == pytest.approx(sp.transition_frequency(0, 3, CFG), rel=1e-12)

@@ -71,10 +71,10 @@ def reference_apply_pulse(state, pulse, cfg):
     return SparseState(amps=new_amps, leaked=state.leaked, time=t0 + tau)
 
 
-def packed_apply_pulse(state, pulse, cfg):
+def packed_apply_pulse(state, pulse, cfg, cutoff=0.0):
     """``apply_pulse`` with the packed kernel on every one-spin window."""
     with mock.patch.object(sparse_engine, "PACKED_MIN_STATES", 1):
-        return apply_pulse(state, pulse, cfg)
+        return apply_pulse(state, pulse, cfg, cutoff)
 
 
 def outcome(kernel, state, pulse, cfg):
@@ -172,6 +172,79 @@ class TestKernelAgainstReference:
             (None, (s,)) for s in state.amps
         ]
         assert outcome(apply_pulse, state, pulse, cfg)[0] == list(state.amps.items())
+
+
+def with_code(s, k, code, n):
+    """``s`` with bits k-1, k and k+1 set to the 3-bit ``code``, within n bits."""
+    span = 7 << k >> 1
+    return (s & ~span | code << k >> 1) & ((1 << n) - 1)
+
+
+class TestKernelEdges:
+    """The packed kernel where a neighbourhood code spans two words, at the
+    chain's ends, for each of the 8 codes, and on signed zeros."""
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 130, 200, 1000])
+    def test_neighbourhood_codes(self, n):
+        # bits k-1 and k+1 come from the next word when (k-1) % 64 >= 62; at
+        # k = 0 bit -1 reads 0, and at k = N-1 bit N does
+        rng = random.Random(n)
+        for k in sorted({0, 1, 62, 63, 64, 65, 127, 128, n - 1} & set(range(n))):
+            states = [rng.getrandbits(n) for _ in range(20)]
+            states += [with_code(s, k, code, n) for s in states[:10] for code in range(8)]
+            keys = pack_states(states, n)[:, ::-1].astype(">u8")
+            codes = sparse_engine._neighbourhood_codes(keys, k)
+            expected = [s << 1 >> k & 7 for s in states]
+            assert codes.tolist() == expected, k
+            assert len(set(expected)) == (8 if 0 < k < n - 1 else 4)
+
+    ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    AMPS = ZEROS + [complex(-0.0, 0.6), complex(0.3, -0.0), complex(-0.25, 0.5)]
+
+    @pytest.mark.parametrize("code", range(8))
+    @pytest.mark.parametrize("cutoff", [0.0, 0.1])
+    def test_each_code_against_reference(self, code, cutoff):
+        # window spin 64, whose neighbour bits 63 and 65 lie in two words, at
+        # Larmor frequencies omega: the state with bit 64 clear has flip
+        # energy omega + J (s63 + s65), s = +1 for a clear bit: the lower
+        # level at 50, and not where that energy is 0 or below at 1 and 0;
+        # at 50 the pairs of flip energy 52 lie out of the window
+        k, n = 64, 130
+        levels = set()
+        for omega, nu in ((50.0, 46.5), (1.0, 2.0), (0.0, 1.0)):
+            cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0,
+                                 base_larmor=omega - 100.0 * k)
+            pulse = sp.Pulse(frequency=nu, rabi=0.3, duration=5.0)
+            pairs = PulsePairs(pulse, cfg, 2.0)
+            assert pairs.spins == [k]
+            rng = random.Random(code)
+            amps = {}
+            for i, c in enumerate(self.AMPS + self.AMPS[::-1]):
+                s = with_code(rng.getrandbits(n), k, code, n)
+                amps[s] = c
+                if i >= len(self.AMPS):  # the partner stored too
+                    amps[s ^ 1 << k] = self.AMPS[i % len(self.AMPS)]
+            state = SparseState(amps, leaked=0.125, time=2.0)
+            lead = pairs.pair(next(iter(amps)))
+            assert (lead is None) == (omega == 50.0 and code & 5 == 0)
+            if lead is not None:
+                levels.add(lead[1] > 0.0)  # the stored state is the lower level
+            packed = outcome(lambda *a: packed_apply_pulse(*a, cutoff), state, pulse, cfg)
+            expected = outcome(lambda *a: prune(reference_apply_pulse(*a), cutoff),
+                               state, pulse, cfg)
+            assert repr(packed) == repr(expected), omega
+        # the stored state's flip energy, +-(omega + J (s63 + s65)), changes
+        # sign over these omegas for codes 1, 4, 5 and 7 only
+        assert len(levels) == (2 if code in (1, 4, 5, 7) else 1)
+
+    def test_stored_pair_out_of_the_window(self):
+        # a lower row whose partner is stored but whose pair lies out of the
+        # window writes both rows alone
+        cfg = sp.ChainConfig(n_qubits=2, larmor_spacing=100.0)
+        pulse = sp.Pulse(frequency=cfg.omega(0) + 5.5, rabi=0.3, duration=5.0)
+        assert PulsePairs(pulse, cfg, 0.0).spins == [0]
+        state = SparseState({0: 0j, 1: 0j})
+        assert outcome(packed_apply_pulse, state, pulse, cfg) == ([(0, 0j), (1, 0j)], 0.0, 5.0)
 
 
 class TestApplyPulse:
@@ -459,9 +532,16 @@ def mixed_draw(n, count):
     return cfg, spins, initial, pulses
 
 
+# stored states at the start of a mixed run: below PACKED_MIN_STATES, and above
+STARTS = [95, 300]
+
+
 class TestPackedRuns:
     """Whole runs through run_protocol equal the per-state reference exactly:
     amplitudes in insertion order, leaked probability, ledger in order."""
+
+    def test_starts_straddle_the_kernels_threshold(self):
+        assert STARTS[0] < PACKED_MIN_STATES < STARTS[1]
 
     @pytest.fixture
     def lookups(self, monkeypatch):
@@ -473,7 +553,7 @@ class TestPackedRuns:
         return calls
 
     @pytest.mark.parametrize("n", [64, 65, 128, 129])
-    @pytest.mark.parametrize("count", [PACKED_MIN_STATES // 2 + 20, 2 * PACKED_MIN_STATES])
+    @pytest.mark.parametrize("count", STARTS)
     def test_equal_to_reference_run(self, n, count, monkeypatch, lookups):
         packed_calls, kinds = [], []
         kernel, apply = sparse_engine._packed_pulse, sparse_engine.apply_pulse
@@ -504,7 +584,7 @@ class TestPackedRuns:
         assert not lookups
 
     @pytest.mark.parametrize("n", [64, 65, 128, 129])
-    @pytest.mark.parametrize("count", [PACKED_MIN_STATES // 2 + 20, 2 * PACKED_MIN_STATES])
+    @pytest.mark.parametrize("count", STARTS)
     @pytest.mark.parametrize("hashing", ["constant", "shared"])
     def test_replay_exact_whatever_the_hash(self, n, count, hashing, monkeypatch):
         # the first-crossing replay's bucket prefilter only narrows the key
