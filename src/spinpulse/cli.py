@@ -106,7 +106,8 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 
 def cmd_simulate(args, engine: str) -> int:
     """Run ``engine`` ("perturbative", "exact" or "classical") on the config from
-    its protocol's initial state; write report.json, and trace.csv when traced."""
+    its protocol's initial state; write report.json, and trace.csv when traced
+    (removing an earlier run's trace.csv otherwise)."""
     doc, cfg = load_config(args.config)
     report_opts = doc.get("report", {})
     doubled = report_opts.get("doubled_probabilities", False) or args.doubled_probabilities
@@ -137,6 +138,8 @@ def cmd_simulate(args, engine: str) -> int:
     report.save(out_dir / "report.json")
     if report.trace is not None:
         _write(out_dir, "trace.csv", report.trace_csv())
+    else:  # an earlier traced run's table would not match this report
+        (out_dir / "trace.csv").unlink(missing_ok=True)
     unwanted = len(report.final_amps.keys() - report.wanted_states)
     print(
         f"{engine}: {len(protocol)} pulses, {len(report.final_amps)} stored states, "
@@ -230,7 +233,8 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Write unwanted.csv; bands.json when there are unwanted records; and
-    phase.json when asked for."""
+    phase.json when asked for.  An optional table that is not written is
+    removed from ``--out``, so no earlier run's copy is left beside the new ones."""
     report = RunReport.load(args.report)
     out_dir = Path(args.out)
     records = report.unwanted_records()
@@ -245,6 +249,8 @@ def cmd_analyze(args) -> int:
             "bands": [asdict(b) for b in summary.bands],
         }
         _write(out_dir, "bands.json", json.dumps(bands, indent=2) + "\n")
+    else:
+        (out_dir / "bands.json").unlink(missing_ok=True)
     if args.phase_with:
         other = RunReport.load(args.phase_with)
         dev = phase_report(report, other)
@@ -262,6 +268,8 @@ def cmd_analyze(args) -> int:
             )
             + "\n",
         )
+    else:
+        (out_dir / "phase.json").unlink(missing_ok=True)
     print(f"analyze: {len(records)} unwanted records")
     return 0
 

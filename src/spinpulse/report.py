@@ -20,8 +20,10 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, TextIO, TypeVar
+from typing import Callable, NamedTuple, TextIO, TypeVar
 
 import numpy as np
 
@@ -52,8 +54,7 @@ class TraceEntry:
     reference_amplitude: complex | None
 
 
-@dataclass(frozen=True)
-class UnwantedRecord:
+class UnwantedRecord(NamedTuple):
     """One unwanted basis state in the final superposition."""
 
     state: int
@@ -106,42 +107,28 @@ class RunReport:
         wanted = self.wanted_states
         kept = [(s, c) for s, c in self.final_amps.items() if s not in wanted]
         energies = basis_energies([s for s, _ in kept], self.chain)
-        records = []
-        for (s, c), energy in zip(kept, energies):
-            records.append(
-                UnwantedRecord(
-                    state=s,
-                    probability=self.convention_factor
-                    * (c.real * c.real + c.imag * c.imag),
-                    generation=self.generation.get(s, -1),
-                    energy=energy,
-                    flips=flip_count(s),
-                )
-            )
-        records.sort(key=lambda r: (r.generation, r.state))
+        factor, generation = self.convention_factor, self.generation
+        records = [
+            UnwantedRecord(s, factor * (c.real * c.real + c.imag * c.imag),
+                           generation.get(s, -1), energy, flip_count(s))
+            for (s, c), energy in zip(kept, energies)
+        ]
+        records.sort(key=attrgetter("generation", "state"))
         return records
 
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
-            "version": REPORT_FORMAT_VERSION,
-            "engine": self.engine,
-            "chain": asdict(self.chain),
+            **self._frame(),
             "final_amps": [
                 [str(s), c.real, c.imag] for s, c in self.final_amps.items()
             ],
-            "leaked": self.leaked,
-            "time": self.time,
             "generation": {
                 str(s): self.generation[s]
                 for s in self.final_amps
                 if s in self.generation
             },
-            "doubled": self.doubled,
-            "prune_cutoff": self.prune_cutoff,
-            "seed": self.seed,
-            "protocol": None if self.protocol is None else self.protocol.to_dict(),
             "trace": None
             if self.trace is None
             else [
@@ -157,6 +144,24 @@ class RunReport:
                 ]
                 for e in self.trace
             ],
+        }
+
+    def _frame(self) -> dict:
+        """The document of ``to_dict`` in its order, its bulk sections
+        (``final_amps``, ``generation`` and ``trace``) left as None."""
+        return {
+            "version": REPORT_FORMAT_VERSION,
+            "engine": self.engine,
+            "chain": asdict(self.chain),
+            "final_amps": None,
+            "leaked": self.leaked,
+            "time": self.time,
+            "generation": None,
+            "doubled": self.doubled,
+            "prune_cutoff": self.prune_cutoff,
+            "seed": self.seed,
+            "protocol": None if self.protocol is None else self.protocol.to_dict(),
+            "trace": None,
             "config_hash": self.config_hash,
         }
 
@@ -199,9 +204,30 @@ class RunReport:
         )
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:  # streamed: a large report's text is never held whole
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        """Write the bytes of ``json.dump(self.to_dict(), fh, indent=1)`` and a
+        newline.  The bulk sections are formatted here, ``SAVE_CHUNK_ENTRIES``
+        entries at a time, so that a large report's text is never held whole:
+        each float by ``float.__repr__`` (json's NaN and +-Infinity aside), each
+        int by ``int.__repr__``, and a chunk holding any other part by json's
+        own rules.  The other sections go through ``json.dumps``."""
+        bulk = {
+            "final_amps": (self.final_amps.items(), _amp_entry),
+            "generation": (
+                ((s, self.generation[s]) for s in self.final_amps if s in self.generation),
+                _generation_entry),
+            "trace": (self.trace, _trace_entry_text),
+        }
+        with open(path, "w") as fh:
+            sep = "{"
+            for key, value in self._frame().items():
+                fh.write(f'{sep}\n "{key}": ')
+                sep = ","
+                entries, entry = bulk.get(key, (None, None))
+                if entries is None:
+                    fh.write(json.dumps(value, indent=1).replace("\n", "\n "))
+                else:
+                    _write_entries(fh, entries, entry, "{}" if key == "generation" else "[]")
+            fh.write("\n}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
@@ -229,6 +255,57 @@ class RunReport:
                 ]
             )
         return buf.getvalue()
+
+
+# entries of a bulk section that ``RunReport.save`` formats and writes at a time
+SAVE_CHUNK_ENTRIES = 256
+
+# (float, int) formatters: json's for a float or an int, and json itself for
+# a chunk that holds any other part
+_REPR = float.__repr__, int.__repr__
+_JSON = json.dumps, json.dumps
+
+
+def _write_entries(fh: TextIO, entries, entry: Callable, empty: str) -> None:
+    """Write a bulk section as ``json.dump(..., indent=1)`` writes a list or
+    an object one level into the document; ``empty`` is its text when empty.
+    ``entry(e, real, whole)`` is the text of entry e, from the newline before
+    it, with ``real`` formatting its floats and ``whole`` its ints."""
+    entries = iter(entries)
+    chunk = list(islice(entries, SAVE_CHUNK_ENTRIES))
+    if not chunk:
+        fh.write(empty)
+        return
+    fh.write(empty[0])
+    while chunk:
+        try:
+            text = ",".join([entry(e, *_REPR) for e in chunk])
+        except TypeError:  # a part that is neither a float nor an int
+            text = ",".join([entry(e, *_JSON) for e in chunk])
+        if "nan" in text or "inf" in text:  # float.__repr__ of NaN and +-Infinity
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        fh.write(text)
+        chunk = list(islice(entries, SAVE_CHUNK_ENTRIES))
+        if chunk:
+            fh.write(",")
+    fh.write("\n " + empty[1])
+
+
+def _amp_entry(item: tuple[int, complex], real: Callable, whole: Callable) -> str:
+    s, c = item
+    return f'\n  [\n   "{s}",\n   {real(c.real)},\n   {real(c.imag)}\n  ]'
+
+
+def _generation_entry(item: tuple[int, int], real: Callable, whole: Callable) -> str:
+    s, g = item
+    return f'\n  "{s}": {whole(g)}'
+
+
+def _trace_entry_text(e: TraceEntry, real: Callable, whole: Callable) -> str:
+    ref = e.reference_amplitude
+    ref = "null" if ref is None else f"[\n    {real(ref.real)},\n    {real(ref.imag)}\n   ]"
+    return (f"\n  [\n   {whole(e.pulse_index)},\n   {real(e.time)},\n   {real(e.norm)},"
+            f"\n   {real(e.leaked)},\n   {whole(e.n_states)},\n   {ref}\n  ]")
 
 
 def _read_states(data: dict) -> tuple[dict[int, complex], dict[int, int]] | None:

@@ -40,8 +40,9 @@ uint64 rows plus one complex128 amplitude array, which stay packed across
 such pulses.  The pulse is a fixed number of array operations on one
 big-endian key matrix, the rows' words most significant first, whose bytes
 order the rows as the integers they hold: a stable sort of its ``void``
-view; each lower state's partner, made by OR-ing bit k into one key column,
-searched in the sorted ``S`` view and confirmed by one key comparison; and
+view; the stored pairs, found by clearing bit k in one key column and
+sorting again, stably, so that the two members of a pair are equal keys
+side by side, the one with bit k clear first; and
 each row's neighbourhood code, bits k-1, k and k+1 as ``PulsePairs.pair``
 reads them, which indexes one table per pulse (``_code_table``).  The table
 gives the slots a row emits, which one holds the row with bit k flipped, and
@@ -296,14 +297,14 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
     order = np.argsort(keys.view(f"V{8 * words}").ravel(), kind="stable")
     keys, c = keys.take(order, axis=0), amps.c.take(order)
     code = _neighbourhood_codes(keys, k)
-    # pair each lower state s with s + 2^k, if it is stored
-    lower = np.flatnonzero(code & np.uint64(2) == 0)
-    targets = keys.take(lower, axis=0)
-    targets[:, words - 1 - k // 64] |= np.uint64(1 << k % 64)
-    keys, targets = (x.view(f"S{8 * words}").ravel() for x in (keys, targets))
-    pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
-    hit = np.flatnonzero(keys.take(pos) == targets)
-    lower, pos = lower.take(hit), pos.take(hit)
+    # pair each state s with bit k clear with s + 2^k, if it is stored: with
+    # bit k cleared their keys are equal, and a stable sort puts them side
+    # by side, s first
+    keys[:, words - 1 - k // 64] &= ~np.uint64(1 << k % 64)
+    by_pair = np.argsort(keys.view(f"V{8 * words}").ravel(), kind="stable")
+    keys = keys.take(by_pair, axis=0)
+    t = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    lower, pos = by_pair.take(t), by_pair.take(t + 1)
     code[pos] |= np.uint64(8)
 
     # each out-of-window state is written alone, each pair at its first stored member

@@ -864,18 +864,43 @@ OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(OUTPUTS))
-def test_each_artifact_has_one_producer(tmp_path, case):
+def run_case(tmp_path: Path, case: str, out: Path) -> set[str]:
+    """Run ``OUTPUTS[case]`` into ``out``; the files it should leave there."""
     command, doc, flags, files = OUTPUTS[case]
     source = ["--config", str(write_config(tmp_path, doc))]
     if command == "analyze":
-        run = tmp_path / "run"
+        run = tmp_path / f"run-{case}"
         assert main(["simulate", *source, "--out", str(run), "--trace"]) == 0
         report = str(run / "report.json")
         source = ["--report", report]
         flags = [flag.format(report=report) for flag in flags]
-    out = tmp_path / "out"
     assert main([command, *source, "--out", str(out), *flags]) == 0
+    return files
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUTS))
+def test_each_artifact_has_one_producer(tmp_path, case):
+    out = tmp_path / "out"
+    files = run_case(tmp_path, case, out)
+    assert {path.name for path in out.iterdir()} == files
+
+
+# pairs of cases of one command, the first writing an optional file the second does not
+RERUNS = [
+    ("simulate-traced", "simulate"),
+    ("simulate-exact-traced", "simulate-exact"),
+    ("classical-traced", "classical"),
+    ("analyze", "analyze-without-records"),
+    ("analyze-with-phase", "analyze"),
+]
+
+
+@pytest.mark.parametrize("first, second", RERUNS + [pair[::-1] for pair in RERUNS])
+def test_rerun_into_one_directory_leaves_its_own_files(tmp_path, first, second):
+    # an optional file a run does not write is removed, not left from the run before
+    out = tmp_path / "out"
+    run_case(tmp_path, first, out)
+    files = run_case(tmp_path, second, out)
     assert {path.name for path in out.iterdir()} == files
 
 

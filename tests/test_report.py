@@ -4,6 +4,8 @@ import io
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -179,6 +181,116 @@ class TestRunReportSerialization:
         assert unwanted_table(rep_a) == unwanted_table(rep_b)
         assert rep_a.trace_csv() == rep_b.trace_csv()
         assert rep_a.config_hash == rep_b.config_hash
+
+
+def dumped(report) -> bytes:
+    """What ``json.dump(report.to_dict(), fh, indent=1)`` and a newline write."""
+    buf = io.StringIO()
+    json.dump(report.to_dict(), buf, indent=1)
+    return (buf.getvalue() + "\n").encode()
+
+
+def saved(report, tmp_path) -> bytes:
+    path = tmp_path / "report.json"
+    report.save(path)
+    return path.read_bytes()
+
+
+DENSE_CFG = sp.ChainConfig(n_qubits=3, larmor_spacing=10.0, base_larmor=15.0)
+EDGE_PARTS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def bulk_reports(draw):
+    """Reports whose bulk sections hold any float, a ledger missing states,
+    and trace rows with and without a reference amplitude."""
+    n = draw(st.sampled_from([1, 6, 64, 200, 1000]))
+    parts = st.one_of(st.sampled_from(EDGE_PARTS), st.floats())
+    states = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12, unique=True))
+    amps = {s: complex(draw(parts), draw(parts)) for s in states}
+    generation = {s: draw(st.integers(0, 10**6)) for s in states if draw(st.booleans())}
+    trace = draw(st.none() | st.lists(st.builds(
+        report_module.TraceEntry, st.integers(0, 10**4), parts, parts, parts,
+        st.integers(0, 10**6), st.none() | st.builds(complex, parts, parts)), max_size=5))
+    cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
+    return make_report("perturbative", cfg, None, amps, draw(parts), draw(parts), generation,
+                       trace=trace, seed=draw(st.none() | st.integers(0, 10)))
+
+
+class TestSaveIsJsonDump:
+    """``save`` writes the bytes of ``json.dump(to_dict(), fh, indent=1)``
+    and a newline, whatever the report holds."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("engine", ["perturbative", "exact", "classical"])
+    def test_reports_of_each_engine(self, tmp_path, engine, trace):
+        proto = sp.build_cn_protocol(DENSE_CFG, rabi=0.5, equal_epsilon=True)
+        run = {"perturbative": sp.run_protocol, "exact": sp.run_protocol_exact,
+               "classical": sp.run_protocol_classical}[engine]
+        report = run(SparseState.from_basis(0), proto, DENSE_CFG, trace=trace, doubled=True)
+        assert len(report.final_amps) > 1 and (report.trace is None) != trace
+        assert saved(report, tmp_path) == dumped(report)
+        report, _ = small_run(trace=trace)
+        assert saved(report, tmp_path) == dumped(report)
+
+    def test_empty_sections(self, tmp_path):
+        for trace in (None, []):
+            report = make_report("perturbative", CFG, None, {}, 1.0, 0.0, {}, trace=trace)
+            assert report.to_dict()["final_amps"] == [] and report.to_dict()["generation"] == {}
+            assert saved(report, tmp_path) == dumped(report)
+        # states without a ledger entry, as a format-1 report may hold
+        report = make_report("perturbative", CFG, None, {1: 0.5j, 2: 0.5 + 0j}, 0.0, 1.0, {})
+        assert saved(report, tmp_path) == dumped(report)
+
+    def test_format_1_ledger_lacking_states(self, tmp_path):
+        report, _ = small_run(trace=True)
+        doc = json.loads(json.dumps(report.to_dict()))
+        doc["version"] = 1
+        del doc["config_hash"]
+        kept = list(doc["generation"].items())
+        doc["generation"] = dict(kept[::2] + [("63", 7)])  # and a state that is not final
+        old = sp.RunReport.from_dict(doc)
+        assert len(old.to_dict()["generation"]) == len(kept[::2]) < len(old.final_amps)
+        assert saved(old, tmp_path) == dumped(old)
+
+    def test_edge_parts_and_reference_amplitudes(self, tmp_path):
+        amps = {s: complex(re, im) for s, (re, im) in
+                enumerate((re, im) for re in EDGE_PARTS for im in EDGE_PARTS[::3])}
+        cfg = sp.ChainConfig(n_qubits=7, larmor_spacing=100.0)
+        trace = [report_module.TraceEntry(i, t, 1.0 - t, t, i, ref)
+                 for i, (t, ref) in enumerate(zip(EDGE_PARTS, [None, 0j, -0.0 - 0.0j, None,
+                                                               complex(math.nan, -math.inf)]))]
+        report = make_report("perturbative", cfg, None, amps, -0.0, 1e308,
+                             dict.fromkeys(amps, 3), trace=trace)
+        text = saved(report, tmp_path)
+        assert text == dumped(report)
+        assert b"NaN" in text and b"-Infinity" in text and b"5e-324" in text
+
+    def test_numpy_and_integer_parts(self, tmp_path):
+        # numpy scalars are written by float.__repr__ (json's rule), not as
+        # np.float64(...); an int part as json writes one
+        amps = {1: np.complex128(0.1 + 0.2j), 2: np.complex128(-0.0 + 5e-324j), 3: 1, 4: 0.5}
+        report = make_report("perturbative", CFG, None, amps, 0.0, 1.0, {1: 2, 3: 0})
+        text = saved(report, tmp_path)
+        assert text == dumped(report) and b"np." not in text
+
+    def test_thousand_qubit_states_over_several_chunks(self, tmp_path):
+        rng = random.Random(1000)
+        cfg = sp.ChainConfig(n_qubits=1000, larmor_spacing=100.0)
+        chunk = report_module.SAVE_CHUNK_ENTRIES
+        for count in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            amps = {rng.getrandbits(1000): complex(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3))
+                    for _ in range(count)}
+            generation = {s: rng.randrange(2000) for s in amps}
+            report = make_report("perturbative", cfg, None, amps, 1e-3, 10.0, generation)
+            assert saved(report, tmp_path) == dumped(report)
+
+    @given(report=bulk_reports(), chunk=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_reports(self, report, chunk):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(report_module, "SAVE_CHUNK_ENTRIES", chunk):
+            assert saved(report, Path(tmp)) == dumped(report)
 
 
 class TestUnwantedRecords:

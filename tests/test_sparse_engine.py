@@ -237,6 +237,38 @@ class TestKernelEdges:
         # sign over these omegas for codes 1, 4, 5 and 7 only
         assert len(levels) == (2 if code in (1, 4, 5, 7) else 1)
 
+    @pytest.mark.parametrize("n", [64, 65, 130, 1000])
+    def test_pairs_at_word_edges(self, n):
+        # dense row sets with partners (rows that differ in bit k only), rows
+        # that differ from a stored row in one word other than k's, with and
+        # without bit k flipped too, and rows that differ in a neighbour bit
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
+        for k in sorted({0, 63, 64, 127, 128, n - 1} & set(range(n))):
+            rng = random.Random(n * 1000 + k)
+            base = [rng.getrandbits(n) for _ in range(120)]
+            states = set(base)
+            for s in base[:80]:
+                states.add(s ^ 1 << k)
+            others = [w for w in range(-(-n // 64)) if w != k // 64]
+            for s in base[40:100] if others else ():
+                other = rng.getrandbits(64) << 64 * rng.choice(others) & (1 << n) - 1
+                states.update({s ^ other, s ^ other ^ 1 << k})
+            for s in base[100:]:
+                states.add(s ^ 1 << rng.choice([max(k - 1, 0), min(k + 1, n - 1)]))
+            amps = {s: complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for s in states}
+            state = SparseState(amps, leaked=0.0625, time=3.0)
+            for offset in (-2.0, 0.0, 2.0):
+                pulse = sp.Pulse(frequency=cfg.omega(k) + offset, rabi=0.3, duration=5.0)
+                pairs = PulsePairs(pulse, cfg, 3.0)
+                assert pairs.spins == [k]
+                # pairs with both members stored are evolved at every offset
+                assert sum(s ^ 1 << k in amps and pairs.pair(s) is not None for s in amps) > 20
+                for cutoff in (0.0, 1e-3):
+                    packed = outcome(lambda *a: packed_apply_pulse(*a, cutoff), state, pulse, cfg)
+                    expected = outcome(lambda *a: prune(reference_apply_pulse(*a), cutoff),
+                                       state, pulse, cfg)
+                    assert repr(packed) == repr(expected), (k, offset, cutoff)
+
     def test_stored_pair_out_of_the_window(self):
         # a lower row whose partner is stored but whose pair lies out of the
         # window writes both rows alone
