@@ -1,11 +1,11 @@
 """Command-line front door.
 
 Every command but "analyze" reads a JSON run config; "analyze" reads a run
-report.  A run command writes the JSON run report (and the per-pulse trace
-table when traced); "analyze" derives the unwanted-state table and the band
-summary from a report.  Reruns with the same config and seed are
-byte-identical.  The command picks the engine: "simulate" runs the
-perturbative one, "simulate-exact" and "classical" the dense ones.
+report.  A run command writes the JSON run report; "analyze" derives the
+unwanted-state table, the band summary and the per-pulse trace table from a
+report.  Reruns with the same config and seed are byte-identical.  The
+command picks the engine: "simulate" runs the perturbative one,
+"simulate-exact" and "classical" the dense ones.
 
 The fields of a config, a protocol file and a report are listed in
 ``schema`` (and README, "Input fields"); a malformed one exits with code 2.
@@ -106,8 +106,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 
 def cmd_simulate(args, engine: str) -> int:
     """Run ``engine`` ("perturbative", "exact" or "classical") on the config from
-    its protocol's initial state; write report.json, and trace.csv when traced
-    (removing an earlier run's trace.csv otherwise)."""
+    its protocol's initial state; write report.json."""
     doc, cfg = load_config(args.config)
     report_opts = doc.get("report", {})
     doubled = report_opts.get("doubled_probabilities", False) or args.doubled_probabilities
@@ -136,10 +135,6 @@ def cmd_simulate(args, engine: str) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.save(out_dir / "report.json")
-    if report.trace is not None:
-        _write(out_dir, "trace.csv", report.trace_csv())
-    else:  # an earlier traced run's table would not match this report
-        (out_dir / "trace.csv").unlink(missing_ok=True)
     unwanted = len(report.final_amps.keys() - report.wanted_states)
     print(
         f"{engine}: {len(protocol)} pulses, {len(report.final_amps)} stored states, "
@@ -232,9 +227,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Write unwanted.csv; bands.json when there are unwanted records; and
-    phase.json when asked for.  An optional table that is not written is
-    removed from ``--out``, so no earlier run's copy is left beside the new ones."""
+    """Write unwanted.csv; bands.json when there are unwanted records; trace.csv
+    when the report has a trace; and phase.json when asked for.  An optional
+    table that is not written is removed from ``--out``, so no earlier run's
+    copy is left beside the new ones."""
     report = RunReport.load(args.report)
     out_dir = Path(args.out)
     records = report.unwanted_records()
@@ -251,6 +247,10 @@ def cmd_analyze(args) -> int:
         _write(out_dir, "bands.json", json.dumps(bands, indent=2) + "\n")
     else:
         (out_dir / "bands.json").unlink(missing_ok=True)
+    if report.trace is not None:
+        _write(out_dir, "trace.csv", report.trace_csv())
+    else:
+        (out_dir / "trace.csv").unlink(missing_ok=True)
     if args.phase_with:
         other = RunReport.load(args.phase_with)
         dev = phase_report(report, other)

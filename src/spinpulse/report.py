@@ -119,31 +119,21 @@ class RunReport:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
+        doc = self._frame()
+        for key, (kind, entries) in self._bulk().items():
+            if entries is not None:
+                doc[key] = kind(entries)
+        return doc
+
+    def _bulk(self) -> dict:
+        """The bulk sections of ``to_dict`` (``final_amps``, ``generation`` and
+        ``trace``): each key's container type and an iterator of its entries,
+        None for a report without a trace."""
+        amps, generation = self.final_amps, self.generation
         return {
-            **self._frame(),
-            "final_amps": [
-                [str(s), c.real, c.imag] for s, c in self.final_amps.items()
-            ],
-            "generation": {
-                str(s): self.generation[s]
-                for s in self.final_amps
-                if s in self.generation
-            },
-            "trace": None
-            if self.trace is None
-            else [
-                [
-                    e.pulse_index,
-                    e.time,
-                    e.norm,
-                    e.leaked,
-                    e.n_states,
-                    None
-                    if e.reference_amplitude is None
-                    else [e.reference_amplitude.real, e.reference_amplitude.imag],
-                ]
-                for e in self.trace
-            ],
+            "final_amps": (list, ([str(s), c.real, c.imag] for s, c in amps.items())),
+            "generation": (dict, ((str(s), generation[s]) for s in amps if s in generation)),
+            "trace": (list, None if self.trace is None else map(_trace_row, self.trace)),
         }
 
     def _frame(self) -> dict:
@@ -179,6 +169,9 @@ class RunReport:
         final_amps, generation = states or (
             {int(s): complex(re, im) for s, re, im in data["final_amps"]},
             {int(s): g for s, g in data["generation"].items()})
+        if len(final_amps) < len(data["final_amps"]):
+            raise ConfigError(f"report field final_amps lists {len(data['final_amps'])} rows "
+                              f"but {len(final_amps)} distinct states")
         chain = ChainConfig(**data["chain"])
         if final_amps and max(final_amps) >> chain.n_qubits:
             raise ConfigError(f"report field final_amps holds state {max(final_amps)}, "
@@ -204,30 +197,28 @@ class RunReport:
         )
 
     def save(self, path: str | Path) -> None:
-        """Write the bytes of ``json.dump(self.to_dict(), fh, indent=1)`` and a
-        newline.  The bulk sections are formatted here, ``SAVE_CHUNK_ENTRIES``
-        entries at a time, so that a large report's text is never held whole:
-        each float by ``float.__repr__`` (json's NaN and +-Infinity aside), each
-        int by ``int.__repr__``, and a chunk holding any other part by json's
-        own rules.  The other sections go through ``json.dumps``."""
-        bulk = {
-            "final_amps": (self.final_amps.items(), _amp_entry),
-            "generation": (
-                ((s, self.generation[s]) for s in self.final_amps if s in self.generation),
-                _generation_entry),
-            "trace": (self.trace, _trace_entry_text),
-        }
+        """Write ``json.dumps(self.to_dict(), separators=(",", ":"))`` and a
+        newline.  A bulk section is encoded ``SAVE_CHUNK_ENTRIES`` entries at a
+        time, each chunk by one ``json.dumps`` with its brackets stripped, so
+        that a large report's text is never held whole."""
+        bulk = self._bulk()
         with open(path, "w") as fh:
             sep = "{"
             for key, value in self._frame().items():
-                fh.write(f'{sep}\n "{key}": ')
+                fh.write(f'{sep}"{key}":')
                 sep = ","
-                entries, entry = bulk.get(key, (None, None))
+                kind, entries = bulk.get(key, (None, None))
                 if entries is None:
-                    fh.write(json.dumps(value, indent=1).replace("\n", "\n "))
-                else:
-                    _write_entries(fh, entries, entry, "{}" if key == "generation" else "[]")
-            fh.write("\n}\n")
+                    fh.write(_encode(value))
+                    continue
+                start, end = "{}" if kind is dict else "[]"
+                fh.write(start)
+                comma = ""
+                while chunk := kind(islice(entries, SAVE_CHUNK_ENTRIES)):
+                    fh.write(comma + _encode(chunk)[1:-1])
+                    comma = ","
+                fh.write(end)
+            fh.write("}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
@@ -257,55 +248,17 @@ class RunReport:
         return buf.getvalue()
 
 
-# entries of a bulk section that ``RunReport.save`` formats and writes at a time
+# entries of a bulk section that ``RunReport.save`` encodes and writes at a time
 SAVE_CHUNK_ENTRIES = 256
 
-# (float, int) formatters: json's for a float or an int, and json itself for
-# a chunk that holds any other part
-_REPR = float.__repr__, int.__repr__
-_JSON = json.dumps, json.dumps
+# ``json.dumps(..., separators=(",", ":"))``, by json's C encoder
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _write_entries(fh: TextIO, entries, entry: Callable, empty: str) -> None:
-    """Write a bulk section as ``json.dump(..., indent=1)`` writes a list or
-    an object one level into the document; ``empty`` is its text when empty.
-    ``entry(e, real, whole)`` is the text of entry e, from the newline before
-    it, with ``real`` formatting its floats and ``whole`` its ints."""
-    entries = iter(entries)
-    chunk = list(islice(entries, SAVE_CHUNK_ENTRIES))
-    if not chunk:
-        fh.write(empty)
-        return
-    fh.write(empty[0])
-    while chunk:
-        try:
-            text = ",".join([entry(e, *_REPR) for e in chunk])
-        except TypeError:  # a part that is neither a float nor an int
-            text = ",".join([entry(e, *_JSON) for e in chunk])
-        if "nan" in text or "inf" in text:  # float.__repr__ of NaN and +-Infinity
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        fh.write(text)
-        chunk = list(islice(entries, SAVE_CHUNK_ENTRIES))
-        if chunk:
-            fh.write(",")
-    fh.write("\n " + empty[1])
-
-
-def _amp_entry(item: tuple[int, complex], real: Callable, whole: Callable) -> str:
-    s, c = item
-    return f'\n  [\n   "{s}",\n   {real(c.real)},\n   {real(c.imag)}\n  ]'
-
-
-def _generation_entry(item: tuple[int, int], real: Callable, whole: Callable) -> str:
-    s, g = item
-    return f'\n  "{s}": {whole(g)}'
-
-
-def _trace_entry_text(e: TraceEntry, real: Callable, whole: Callable) -> str:
+def _trace_row(e: TraceEntry) -> list:
     ref = e.reference_amplitude
-    ref = "null" if ref is None else f"[\n    {real(ref.real)},\n    {real(ref.imag)}\n   ]"
-    return (f"\n  [\n   {whole(e.pulse_index)},\n   {real(e.time)},\n   {real(e.norm)},"
-            f"\n   {real(e.leaked)},\n   {whole(e.n_states)},\n   {ref}\n  ]")
+    return [e.pulse_index, e.time, e.norm, e.leaked, e.n_states,
+            None if ref is None else [ref.real, ref.imag]]
 
 
 def _read_states(data: dict) -> tuple[dict[int, complex], dict[int, int]] | None:

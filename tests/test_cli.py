@@ -42,7 +42,10 @@ class TestSimulate:
         report = sp.RunReport.load(out / "report.json")
         assert report.engine == "perturbative"
         assert report.probability(0) > 0.4
-        assert (out / "trace.csv").read_text() == report.trace_csv()
+        assert {path.name for path in out.iterdir()} == {"report.json"}
+        assert main(["analyze", "--report", str(out / "report.json"),
+                     "--out", str(tmp_path / "analysis")]) == 0
+        assert (tmp_path / "analysis" / "trace.csv").read_text() == report.trace_csv()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         # of simulate, and of analyze on each rerun's report
@@ -795,6 +798,11 @@ MALFORMED_REPORTS = {
     "state-outside-the-chain": (
         lambda d: d["final_amps"][1].__setitem__(0, "999999"), "final_amps"
     ),
+    # read by whole columns, and (an int state) by the field table
+    "state-listed-twice": (lambda d: d["final_amps"].append(d["final_amps"][1]), "final_amps"),
+    "state-listed-twice-as-an-int": (
+        lambda d: d["final_amps"].append([int(d["final_amps"][1][0]), 0.5, 0.0]), "final_amps"
+    ),
 }
 
 
@@ -840,23 +848,27 @@ DENSE = {
     "gate": {"type": "cn", "rabi": 0.5, "equal_epsilon": True},
 }
 RUN_FILES = {"report.json"}
+TRACED = {"report": {"trace": True}}
 
 # case -> (command, config, flags, the files the command writes); analyze reads
-# the traced simulate report of its config, which ``{report}`` names
+# the simulate report of its config, which ``{report}`` names
 OUTPUTS = {
     "simulate": ("simulate", base_config(), [], RUN_FILES),
-    "simulate-traced": ("simulate", base_config(), ["--trace"], RUN_FILES | {"trace.csv"}),
+    "simulate-traced": ("simulate", base_config(), ["--trace"], RUN_FILES),
     "simulate-exact": ("simulate-exact", DENSE, [], RUN_FILES),
-    "simulate-exact-traced": ("simulate-exact", DENSE, ["--trace"], RUN_FILES | {"trace.csv"}),
+    "simulate-exact-traced": ("simulate-exact", DENSE, ["--trace"], RUN_FILES),
     "classical": ("classical", DENSE, [], RUN_FILES),
-    "classical-traced": ("classical", DENSE, ["--trace"], RUN_FILES | {"trace.csv"}),
-    "analyze": ("analyze", base_config(), [], set(ANALYSIS_FILES)),
+    "classical-traced": ("classical", DENSE, ["--trace"], RUN_FILES),
+    "analyze": ("analyze", base_config(**TRACED), [], {*ANALYSIS_FILES, "trace.csv"}),
+    "analyze-untraced": ("analyze", base_config(), [], set(ANALYSIS_FILES)),
     # at the 2*pi*k points no unwanted state stays above the cutoff
     "analyze-without-records": (
-        "analyze", base_config(gate={"type": "cn", "k": 3}), [], {"unwanted.csv"}
+        "analyze", base_config(gate={"type": "cn", "k": 3}, **TRACED), [],
+        {"unwanted.csv", "trace.csv"}
     ),
     "analyze-with-phase": (
-        "analyze", base_config(), ["--phase-with", "{report}"], {*ANALYSIS_FILES, "phase.json"}
+        "analyze", base_config(**TRACED), ["--phase-with", "{report}"],
+        {*ANALYSIS_FILES, "trace.csv", "phase.json"}
     ),
     "design": ("design", base_config(), [], {"protocol.json"}),
     "sweep": ("sweep", SWEEP, [], {"regions.csv", "intervals.json"}),
@@ -870,7 +882,7 @@ def run_case(tmp_path: Path, case: str, out: Path) -> set[str]:
     source = ["--config", str(write_config(tmp_path, doc))]
     if command == "analyze":
         run = tmp_path / f"run-{case}"
-        assert main(["simulate", *source, "--out", str(run), "--trace"]) == 0
+        assert main(["simulate", *source, "--out", str(run)]) == 0
         report = str(run / "report.json")
         source = ["--report", report]
         flags = [flag.format(report=report) for flag in flags]
@@ -885,12 +897,14 @@ def test_each_artifact_has_one_producer(tmp_path, case):
     assert {path.name for path in out.iterdir()} == files
 
 
-# pairs of cases of one command, the first writing an optional file the second does not
+# pairs of cases of one command: a traced run, which writes no more files than an
+# untraced one, and analyze cases whose first writes an optional file the second does not
 RERUNS = [
     ("simulate-traced", "simulate"),
     ("simulate-exact-traced", "simulate-exact"),
     ("classical-traced", "classical"),
     ("analyze", "analyze-without-records"),
+    ("analyze", "analyze-untraced"),
     ("analyze-with-phase", "analyze"),
 ]
 

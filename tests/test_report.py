@@ -63,6 +63,10 @@ class TestRunReportSerialization:
         assert loaded.config_hash == report.config_hash
         assert loaded.protocol == report.protocol
         assert unwanted_table(loaded) == unwanted_table(report)
+        # as earlier versions wrote it: indented, one space a level
+        with open(path, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=1)
+        assert sp.RunReport.load(path) == report
 
     def test_saved_report_loads_its_protocol(self, tmp_path):
         report, proto = small_run(trace=True)
@@ -184,10 +188,8 @@ class TestRunReportSerialization:
 
 
 def dumped(report) -> bytes:
-    """What ``json.dump(report.to_dict(), fh, indent=1)`` and a newline write."""
-    buf = io.StringIO()
-    json.dump(report.to_dict(), buf, indent=1)
-    return (buf.getvalue() + "\n").encode()
+    """``json.dumps(report.to_dict(), separators=(",", ":"))`` and a newline."""
+    return (json.dumps(report.to_dict(), separators=(",", ":")) + "\n").encode()
 
 
 def saved(report, tmp_path) -> bytes:
@@ -218,7 +220,7 @@ def bulk_reports(draw):
 
 
 class TestSaveIsJsonDump:
-    """``save`` writes the bytes of ``json.dump(to_dict(), fh, indent=1)``
+    """``save`` writes the bytes of ``json.dumps(to_dict(), separators=(",", ":"))``
     and a newline, whatever the report holds."""
 
     @pytest.mark.parametrize("trace", [False, True])
