@@ -122,7 +122,7 @@ def basis_energies(states: list[int], cfg: ChainConfig) -> list[float]:
     zeeman = np.zeros(len(states))
     rows = pack_states(states, n)
     for lo in range(0, n, 64):
-        word = rows[:, lo // 64]
+        word = rows[:, -1 - lo // 64]
         for k in range(lo, min(lo + 64, n)):
             w = base + k * spacing
             zeeman += np.where((word >> np.uint64(k - lo)) & np.uint64(1), -w, w)
@@ -134,26 +134,23 @@ def basis_energies(states: list[int], cfg: ChainConfig) -> list[float]:
 
 
 def pack_states(states: Iterable[int], n_qubits: int) -> np.ndarray:
-    """N-bit states as rows of W = ceil(N/64) little-endian uint64 words, least
-    significant first: row i holds ``states[i].to_bytes(8 * W, "little")``."""
+    """N-bit states as rows of W = ceil(N/64) big-endian uint64 words, most
+    significant first: row i holds ``states[i].to_bytes(8 * W, "big")``, so
+    a row's bytes order it as the integer it holds and its ``void`` view is
+    its sort key.  Spin k lies in column W - 1 - k // 64."""
     words = (n_qubits + 63) // 64
-    data = b"".join(s.to_bytes(8 * words, "little") for s in states)
-    return np.frombuffer(data, np.dtype("<u8")).reshape(-1, words)
-
-
-def sort_keys(rows: np.ndarray) -> np.ndarray:
-    """Byte strings that order packed rows as the integers they hold: the
-    words most significant first, each big-endian."""
-    return rows[:, ::-1].astype(">u8", order="C").view(f"S{8 * rows.shape[1]}")[:, 0]
+    data = b"".join(s.to_bytes(8 * words, "big") for s in states)
+    return np.frombuffer(data, np.dtype(">u8")).reshape(-1, words)
 
 
 def descend(rows: np.ndarray, k: int, lineage: np.ndarray) -> np.ndarray:
     """Packed rows ``lineage >> 1`` of ``rows``, bit k flipped where
     ``lineage & 1``: how the packed kernel builds the rows it keeps, and how
     the first-crossing replay rebuilds them.  The rows are gathered with
-    ``take`` and the bit is toggled by one shifted XOR on word k // 64."""
+    ``take`` and the bit is toggled by one shifted XOR on column
+    W - 1 - k // 64, the word that holds spin k."""
     out = rows.take(lineage >> 1, axis=0)
-    out[:, k // 64] ^= (lineage & 1).astype(np.uint64) << np.uint64(k % 64)
+    out[:, -1 - k // 64] ^= (lineage & 1).astype(np.uint64) << np.uint64(k % 64)
     return out
 
 

@@ -101,7 +101,7 @@ def default_step(cfg: ChainConfig, protocol: Protocol, norm_tol: float) -> float
     """
     energies = h0_energies(cfg)
     fastest = float(np.max(np.abs(energies)))
-    fastest += max(p.frequency for p in protocol.pulses)
+    fastest += max(abs(p.frequency) for p in protocol.pulses)
     fastest += max(p.rabi for p in protocol.pulses)
     total_time = sum(p.duration for p in protocol.pulses)
     h = 0.05 / fastest

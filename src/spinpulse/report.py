@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, TextIO, TypeVar
 import numpy as np
 
 from .chain import (
-    ChainConfig, basis_energies, basis_energy, descend, flip_count, pack_states, sort_keys,
+    ChainConfig, basis_energies, basis_energy, descend, flip_count, pack_states,
 )
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
@@ -388,7 +388,8 @@ def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
     """Replay ``run_pulses``'s log forward: the first pulse at which each
     state of ``final`` was stored, in ``final``'s order.  Of the rows rebuilt
     by ``chain.descend``, only those in a ``_bucket`` a final state occupies
-    are searched; a key comparison confirms each, so no hash changes the result."""
+    are searched, each row's ``S`` view being its key; a key comparison
+    confirms each, so no hash changes the result."""
     if not final:
         return {}
     where = {s: j for j, s in enumerate(final)}
@@ -408,11 +409,12 @@ def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
             packed = pack_states(final, 64 * rows.shape[1])
             occupied = np.zeros(1 << bits, bool)
             occupied[_bucket(packed, bits)] = True
-            keys = sort_keys(packed)
+            keys = packed.view(f"S{8 * rows.shape[1]}").ravel()
             del packed
             order = np.argsort(keys)
             keys = keys[order]
-        found = sort_keys(rows.take(np.flatnonzero(occupied[_bucket(rows, bits)]), axis=0))
+        found = rows.take(np.flatnonzero(occupied[_bucket(rows, bits)]), axis=0)
+        found = found.view(keys.dtype).ravel()
         pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
         hit = order[pos[keys[pos] == found]]
         first[hit[first[hit] < 0]] = idx

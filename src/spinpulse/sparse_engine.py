@@ -37,14 +37,14 @@ up, lower level first.
 Packed state: a pulse with one spin k in its window and at least
 ``PACKED_MIN_STATES`` stored states runs on ``PackedAmps``, (S, ceil(N/64))
 uint64 rows plus one complex128 amplitude array, which stay packed across
-such pulses.  The pulse is a fixed number of array operations on one
-big-endian key matrix, the rows' words most significant first, whose bytes
-order the rows as the integers they hold: a stable sort of its ``void``
-view; the stored pairs, found by clearing bit k in one key column and
-sorting again, stably, so that the two members of a pair are equal keys
-side by side, the one with bit k clear first; and
-each row's neighbourhood code, bits k-1, k and k+1 as ``PulsePairs.pair``
-reads them, which indexes one table per pulse (``_code_table``).  The table
+such pulses.  A row's words run most significant first, so its bytes order
+it as the integer it holds, and the pulse is a fixed number of array
+operations on the rows themselves: a stable sort of their ``void`` view;
+the stored pairs, found by clearing bit k in one column of the sorted copy
+and sorting again, stably, so that the two members of a pair are equal rows
+side by side, the one with bit k clear first; and each row's neighbourhood
+code, bits k-1, k and k+1 as ``PulsePairs.pair`` reads them, which indexes
+one table per pulse (``_code_table``).  The table
 gives the slots a row emits, which one holds the row with bit k flipped, and
 the 16 real coefficients of its pair's two outputs, computed in split real
 and imaginary arithmetic that rounds as CPython's complex product does
@@ -112,9 +112,8 @@ class PackedAmps(Mapping):
 
     def as_dict(self) -> dict[int, complex]:
         if self._dict is None:
-            # numpy drops the trailing zero bytes of an ``S`` item, as little-endian allows
-            rows = self.rows.view(f"S{8 * self.rows.shape[1]}").ravel().tolist()
-            states = [int.from_bytes(b, "little") for b in rows]
+            rows = self.rows.view(f"V{8 * self.rows.shape[1]}").ravel().tolist()
+            states = [int.from_bytes(b, "big") for b in rows]
             self._dict = dict(zip(states, self.c.tolist()))
         return self._dict
 
@@ -123,10 +122,10 @@ class PackedAmps(Mapping):
 
     def get(self, state: int, default=None):
         try:
-            key = state.to_bytes(8 * self.rows.shape[1], "little")
+            key = np.void(state.to_bytes(8 * self.rows.shape[1], "big"))
         except (AttributeError, OverflowError):  # not an int, or wider than the rows
             return default
-        hit = np.flatnonzero(self.rows.view(f"S{len(key)}").ravel() == key)
+        hit = np.flatnonzero(self.rows.view(key.dtype).ravel() == key)
         return complex(self.c[hit[0]]) if len(hit) else default
 
     def __getitem__(self, state: int) -> complex:
@@ -232,15 +231,19 @@ def _code_table(pairs: PulsePairs):
     """The packed kernel's table for a pulse with one window spin k, indexed
     by a row's neighbourhood code: bits k-1, k and k+1 of its state (those
     ``PulsePairs.pair`` reads), plus 8 for a bit-k row whose partner is
-    stored.  Returns, per code:
+    stored.  Returns:
 
-    - ``count``, the slots the row emits: 1 out of the window, 2 for the
-      first stored member of a pair, 0 for a second;
-    - ``flip``, the slot (0 for m, 1 for p) that holds the row with bit k
-      flipped, the other one holding the row itself;
-    - ``coef``, shape (8, 2, 16): the real and imaginary parts of alpha,
-      beta, gamma and delta in out = (x alpha) beta + (y gamma) delta for
-      the m and p slots, x being the stored amplitude and y its partner's.
+    - ``count``, per code 0-15, the slots the row emits: 1 out of the
+      window, 2 for the first stored member of a pair, 0 for a second;
+    - ``flip``, per code 0-7, the slot (0 for m, 1 for p) that holds the row
+      with bit k flipped, the other one holding the row itself;
+    - ``coef``, shape (8, 2, 8), per code 0-7: the real and imaginary parts
+      of alpha, beta, gamma and delta in out = (x alpha) beta + (y gamma)
+      delta for the m and p slots, x being the stored amplitude and y its
+      partner's.
+
+    A row with 8 added emits 0 slots or 1, so it never leads a pair, and
+    ``flip`` and ``coef`` are read for leads only.
 
     The stored amplitude's term comes first in both slots, so in the slot of
     the level that is not stored the two terms of the loop's sum change
@@ -263,20 +266,20 @@ def _code_table(pairs: PulsePairs):
                     else (cross, ph_xc, diag, ph_m, diag_c, ph_mc, cross, ph_x))
     # code + 8: the row is written with its partner, if the pair is active
     count += [0 if code & 2 and n == 2 else n for code, n in enumerate(count)]
-    coef = np.fromiter(coef + coef, complex, 128).view(float).reshape(16, 2, 8)
-    return np.array(count), np.array(flip + flip, np.intp), coef.transpose(2, 1, 0).copy()
+    coef = np.fromiter(coef, complex, 64).view(float).reshape(8, 2, 8)
+    return np.array(count), np.array(flip, np.intp), coef.transpose(2, 1, 0).copy()
 
 
-def _neighbourhood_codes(keys: np.ndarray, k: int) -> np.ndarray:
-    """``s << 1 >> k & 7`` of the state s of each row of the big-endian key
-    matrix ``keys`` (words most significant first): bits k-1, k and k+1."""
-    words = keys.shape[1]
+def _neighbourhood_codes(rows: np.ndarray, k: int) -> np.ndarray:
+    """``s << 1 >> k & 7`` of the state s of each packed row: bits k-1, k
+    and k+1."""
+    words = rows.shape[1]
     if k == 0:
-        return keys[:, -1] << np.uint64(1) & np.uint64(7)
+        return rows[:, -1] << np.uint64(1) & np.uint64(7)
     word, shift = divmod(k - 1, 64)
-    code = keys[:, words - 1 - word] >> np.uint64(shift)
+    code = rows[:, words - 1 - word] >> np.uint64(shift)
     if shift >= 62 and word + 1 < words:  # bit k+1, or bits k and k+1, in the next word
-        code |= keys[:, words - 2 - word] << np.uint64(64 - shift)
+        code |= rows[:, words - 2 - word] << np.uint64(64 - shift)
     code &= np.uint64(7)
     return code
 
@@ -291,14 +294,11 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
     """
     count_of, flip_of, coef = table
     rows, words = amps.rows, amps.rows.shape[1]
-    # big-endian keys, words most significant first: their bytes order the
-    # rows as the integers they hold
-    keys = rows[:, ::-1].astype(">u8")
-    order = np.argsort(keys.view(f"V{8 * words}").ravel(), kind="stable")
-    keys, c = keys.take(order, axis=0), amps.c.take(order)
+    order = np.argsort(rows.view(f"V{8 * words}").ravel(), kind="stable")
+    keys, c = rows.take(order, axis=0), amps.c.take(order)
     code = _neighbourhood_codes(keys, k)
     # pair each state s with bit k clear with s + 2^k, if it is stored: with
-    # bit k cleared their keys are equal, and a stable sort puts them side
+    # bit k cleared their rows are equal, and a stable sort puts them side
     # by side, s first
     keys[:, words - 1 - k // 64] &= ~np.uint64(1 << k % 64)
     by_pair = np.argsort(keys.view(f"V{8 * words}").ravel(), kind="stable")

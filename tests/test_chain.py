@@ -254,11 +254,11 @@ class TestDescend:
             assert 0 < (lineage & 1).sum() < len(lineage)
             for codes in (lineage, lineage[:0]):
                 expected = rows[codes >> 1]
-                expected[(codes & 1).astype(bool), k // 64] ^= np.uint64(1 << (k % 64))
+                expected[(codes & 1).astype(bool), words - 1 - k // 64] ^= np.uint64(1 << (k % 64))
                 out = descend(rows, k, codes)
                 assert out.dtype == rows.dtype and out.shape == (len(codes), words)
                 assert out.tobytes() == expected.tobytes()
-                assert [int.from_bytes(bytes(r), "little") for r in out] == [
+                assert [int.from_bytes(bytes(r), "big") for r in out] == [
                     states[c >> 1] ^ ((c & 1) << k) for c in codes.tolist()]
         assert rows.tobytes() == pack_states(states, n).tobytes()  # input untouched
 

@@ -582,6 +582,28 @@ class TestSimulateExactAndClassical:
         # at this deliberately small spacing
         assert report.probability(2) == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("frequency", [-100.0, -5.0])
+    def test_classical_matches_exact_at_negative_frequency(self, tmp_path, frequency):
+        # the RK4 step is set by |frequency|: a negative drive must neither
+        # turn the norm budget negative nor leave the step too coarse
+        proto = sp.Protocol(pulses=(sp.Pulse(frequency=frequency, rabi=0.5,
+                                             duration=math.pi / 0.5),))
+        proto.save(tmp_path / "protocol.json")
+        doc = {
+            "version": 1,
+            "chain": {"n_qubits": 2, "larmor_spacing": 10.0, "base_larmor": 15.0},
+            "protocol_file": "protocol.json",
+        }
+        cfg_path = write_config(tmp_path, doc)
+        reports = []
+        for command in ("classical", "simulate-exact"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            reports.append(sp.RunReport.load(out / "report.json"))
+        classical, exact = reports
+        for s in range(4):
+            assert abs(classical.probability(s) - exact.probability(s)) <= 1e-6, s
+
     def test_classical_engine_honours_max_qubits(self, tmp_path, capsys):
         doc = {
             "version": 1,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import spinpulse as sp
 from spinpulse import report as report_module, sparse_engine
 from spinpulse.chain import (
-    descend, near_resonant_window, nearest_flip, pack_states, sort_keys, window_spins,
+    descend, near_resonant_window, nearest_flip, pack_states, window_spins,
 )
 from spinpulse.error_model import _block_modes
 from spinpulse.sparse_engine import (
@@ -192,8 +192,7 @@ class TestKernelEdges:
         for k in sorted({0, 1, 62, 63, 64, 65, 127, 128, n - 1} & set(range(n))):
             states = [rng.getrandbits(n) for _ in range(20)]
             states += [with_code(s, k, code, n) for s in states[:10] for code in range(8)]
-            keys = pack_states(states, n)[:, ::-1].astype(">u8")
-            codes = sparse_engine._neighbourhood_codes(keys, k)
+            codes = sparse_engine._neighbourhood_codes(pack_states(states, n), k)
             expected = [s << 1 >> k & 7 for s in states]
             assert codes.tolist() == expected, k
             assert len(set(expected)) == (8 if 0 < k < n - 1 else 4)
@@ -730,27 +729,40 @@ class TestLineageType:
 class TestPackedRows:
     @pytest.mark.parametrize("words", [1, 2, 4, 16])
     def test_sort_keys_order_rows_as_ints(self, words):
+        # a row's void view is its sort key: a stable sort puts the states in
+        # ascending order
         rng = random.Random(words)
         states = {0, 1, 255, 256, (1 << (64 * words)) - 1, 1 << (64 * words - 1)}
         for _ in range(500):
-            # zero bytes anywhere, the low ones included, so that big-endian
-            # keys end in zeros
+            # zero bytes anywhere, the low ones included, so that rows end in zeros
             b = bytes(rng.choice((0, rng.randrange(256))) for _ in range(8 * words))
             states.add(int.from_bytes(b, "little"))
             states.add(rng.getrandbits(8 * rng.randrange(1, 8 * words)) << 8)
         states = list(states)
         rng.shuffle(states)
         rows = pack_states(states, 64 * words)
-        order = np.argsort(sort_keys(rows), kind="stable")
+        order = np.argsort(rows.view(f"V{8 * words}").ravel(), kind="stable")
         assert [states[i] for i in order] == sorted(states)
 
-    def test_rows_hold_little_endian_words(self):
+    def test_rows_hold_big_endian_words(self):
         states = [0, 1 << 64, (1 << 129) | 5, 256]
         packed = PackedAmps.pack(dict.fromkeys(states, 1j), 130)
         assert packed.rows.shape == (4, 3)
-        assert [r.tobytes() for r in packed.rows] == [s.to_bytes(24, "little") for s in states]
+        assert [r.tobytes() for r in packed.rows] == [s.to_bytes(24, "big") for s in states]
         assert list(packed.items()) == [(s, 1j) for s in states]
         assert len(packed) == 4
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 1000])
+    def test_as_dict_and_get_round_trip_leading_zero_bytes(self, n):
+        # rows with zero bytes at either end, all-zero and all-ones rows among
+        # them; an ``S`` item would drop a row's trailing zero bytes
+        states = [s for s in (0, 1, 1 << 63, 1 << 64, (1 << n) - 1) if s < 1 << n]
+        amps = {s: complex(i, -i) for i, s in enumerate(dict.fromkeys(states))}
+        packed = PackedAmps.pack(amps, n)
+        assert list(packed.as_dict().items()) == list(amps.items())
+        for s, c in amps.items():
+            assert packed.get(s) == c
+        assert packed.get(2) is None
 
     def test_values_and_get_read_the_rows(self):
         amps = {0: -0.0 + 0.5j, 1 << 64: 0.25 - 0.0j, (1 << 129) | 5: -1e-300 + 3j, 256: 1j}
