@@ -13,9 +13,7 @@ last column.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 from collections.abc import Mapping
@@ -176,6 +174,13 @@ class RunReport:
         if final_amps and max(final_amps) >> chain.n_qubits:
             raise ConfigError(f"report field final_amps holds state {max(final_amps)}, "
                               f"which does not fit in {chain.n_qubits} qubits")
+        if len(generation) < len(data["generation"]):
+            raise ConfigError(f"report field generation lists {len(data['generation'])} "
+                              f"entries but {len(generation)} distinct states")
+        # a format-1 ledger may lack final states
+        if data["version"] > 1 and not generation.keys() >= final_amps.keys():
+            missing = min(final_amps.keys() - generation.keys())
+            raise ConfigError(f"report field generation lacks final state {missing}")
         protocol, trace = data.get("protocol"), data.get("trace")
         return cls(
             engine=data["engine"],
@@ -227,25 +232,15 @@ class RunReport:
     def trace_csv(self) -> str:
         if self.trace is None:
             raise ValueError("run was executed without trace recording")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["pulse", "time", "norm", "leaked", "n_states", "ref_re", "ref_im"]
-        )
+        # no field needs quoting (ints, float reprs and empty reference
+        # columns), so the lines are joined as ``records_csv`` joins them
+        lines = ["pulse,time,norm,leaked,n_states,ref_re,ref_im\n"]
         for e in self.trace:
             ref = e.reference_amplitude
-            writer.writerow(
-                [
-                    e.pulse_index,
-                    repr(e.time),
-                    repr(e.norm),
-                    repr(e.leaked),
-                    e.n_states,
-                    "" if ref is None else repr(ref.real),
-                    "" if ref is None else repr(ref.imag),
-                ]
-            )
-        return buf.getvalue()
+            refs = "," if ref is None else f"{ref.real!r},{ref.imag!r}"
+            lines.append(
+                f"{e.pulse_index},{e.time!r},{e.norm!r},{e.leaked!r},{e.n_states},{refs}\n")
+        return "".join(lines)
 
 
 # entries of a bulk section that ``RunReport.save`` encodes and writes at a time
@@ -358,10 +353,11 @@ def run_pulses(
     (None unless ``trace``).
 
     Each pulse logs which states it stored: the packed kernel's ``lineage``
-    (with its input rows when the previous view was not packed), or else
-    the states the previous pulse did not store.  ``_first_crossings``
-    replays the log once, at the end, and searches the final states' keys
-    only for rows that share a hash bucket with a final state.
+    as the kernel hands it (with its input rows when its input was not a
+    kernel output), or else the states the previous pulse did not store.
+    ``_first_crossings`` replays the log once, at the end, and searches the
+    final states' keys only for rows that share a hash bucket with a final
+    state.
     """
     ref = protocol.initial_state
     shown = view(state)
@@ -373,12 +369,7 @@ def run_pulses(
         shown = view(state)
         amps = shown[0]
         lineage = getattr(amps, "lineage", None)
-        if lineage is None:
-            log.append([s for s in amps if s not in before])
-        else:
-            k, codes, source = lineage
-            replayed = getattr(before, "lineage", None) is not None
-            log.append((k, codes, None if replayed else source))
+        log.append([s for s in amps if s not in before] if lineage is None else lineage)
         if rows is not None:
             rows.append(_trace_entry(idx, shown, ref))
     return state, shown, _first_crossings(log, list(shown[0])), rows

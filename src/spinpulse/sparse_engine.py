@@ -52,9 +52,10 @@ and imaginary arithmetic that rounds as CPython's complex product does
 each permutation of the amplitudes is one ``take``.  The prune runs in the
 kernel, so rows are built (``chain.descend``) for the kept slots only, and
 the output keeps their lineage, which ``report.run_pulses`` logs for the
-first-crossing ledger.  Other pulses, and smaller states, run the per-state
-loop, whose fixed cost per pulse is ~15x lower, and then ``prune``.  Both
-give bit-identical amplitudes, order and ``leaked``.
+first-crossing ledger: the codes, plus the input rows when the input was
+not itself a kernel output.  Other pulses, and smaller states, run the
+per-state loop, whose fixed cost per pulse is ~15x lower, and then
+``prune``.  Both give bit-identical amplitudes, order and ``leaked``.
 
 Not modelled: far-detuned leakage.  Flips outside the near-resonant window
 are dropped, not propagated, and that channel is the dominant gate error at
@@ -99,8 +100,10 @@ class PackedAmps(Mapping):
     and the complex128 amplitudes ``c``.  ``values`` and ``get``, which a
     traced run calls every pulse, read the arrays; other mapping access
     builds an int-keyed dict on first use.  The kernel's output carries
-    ``lineage`` = (k, codes, input rows), from which ``chain.descend``
-    rebuilds ``rows``; None otherwise."""
+    ``lineage`` = (k, codes, source), from which ``chain.descend`` rebuilds
+    ``rows``: source is the input rows when the input was no kernel output
+    (a hand-over), else None, the replay having rebuilt the input's rows
+    from its own lineage.  ``lineage`` is None outside the kernel."""
 
     def __init__(self, rows: np.ndarray, c: np.ndarray, lineage: tuple | None = None):
         self.rows, self.c, self.lineage = rows, c, lineage
@@ -229,21 +232,15 @@ def _mul(a, b):
 
 def _code_table(pairs: PulsePairs):
     """The packed kernel's table for a pulse with one window spin k, indexed
-    by a row's neighbourhood code: bits k-1, k and k+1 of its state (those
-    ``PulsePairs.pair`` reads), plus 8 for a bit-k row whose partner is
-    stored.  Returns:
+    by a row's neighbourhood code 0-7: bits k-1, k and k+1 of its state
+    (those ``PulsePairs.pair`` reads).  Returns:
 
-    - ``count``, per code 0-15, the slots the row emits: 1 out of the
-      window, 2 for the first stored member of a pair, 0 for a second;
-    - ``flip``, per code 0-7, the slot (0 for m, 1 for p) that holds the row
-      with bit k flipped, the other one holding the row itself;
-    - ``coef``, shape (8, 2, 8), per code 0-7: the real and imaginary parts
-      of alpha, beta, gamma and delta in out = (x alpha) beta + (y gamma)
-      delta for the m and p slots, x being the stored amplitude and y its
-      partner's.
-
-    A row with 8 added emits 0 slots or 1, so it never leads a pair, and
-    ``flip`` and ``coef`` are read for leads only.
+    - ``count``, the slots the row emits: 1 out of the window, 2 in it;
+    - ``flip``, the slot (0 for m, 1 for p) that holds the row with bit k
+      flipped, the other one holding the row itself;
+    - ``coef``, shape (8, 2, 8): the real and imaginary parts of alpha,
+      beta, gamma and delta in out = (x alpha) beta + (y gamma) delta for
+      the m and p slots, x being the stored amplitude and y its partner's.
 
     The stored amplitude's term comes first in both slots, so in the slot of
     the level that is not stored the two terms of the loop's sum change
@@ -264,8 +261,6 @@ def _code_table(pairs: PulsePairs):
         flip.append(own_m)
         coef.extend((diag, ph_m, cross, ph_xc, cross, ph_x, diag_c, ph_mc) if own_m
                     else (cross, ph_xc, diag, ph_m, diag_c, ph_mc, cross, ph_x))
-    # code + 8: the row is written with its partner, if the pair is active
-    count += [0 if code & 2 and n == 2 else n for code, n in enumerate(count)]
     coef = np.fromiter(coef, complex, 64).view(float).reshape(8, 2, 8)
     return np.array(count), np.array(flip, np.intp), coef.transpose(2, 1, 0).copy()
 
@@ -305,10 +300,12 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
     keys = keys.take(by_pair, axis=0)
     t = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
     lower, pos = by_pair.take(t), by_pair.take(t + 1)
-    code[pos] |= np.uint64(8)
 
-    # each out-of-window state is written alone, each pair at its first stored member
+    # each out-of-window state is written alone, each pair by its first stored
+    # member: the second one's count halves, to 0 in the window and 1 outside
+    # it (both members share bits k-1 and k+1, so both are in it or neither)
     count = count_of.take(code)
+    count[pos] &= 1
     # codes reach 2 S - 1: uint16 up to 32,768 input rows, uint32 above
     lineage = np.repeat(order.astype(np.min_scalar_type(2 * len(c) - 1)), count)
     lineage <<= 1
@@ -335,7 +332,8 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
         leaked = float(np.add.accumulate(np.append(leaked, p[drop]))[-1])
         keep = np.flatnonzero(~drop)
         lineage, out = lineage.take(keep), out.take(keep)
-    return PackedAmps(descend(rows, k, lineage), out, (k, lineage, rows)), leaked
+    source = rows if amps.lineage is None else None  # the replay rebuilds a kernel output's rows
+    return PackedAmps(descend(rows, k, lineage), out, (k, lineage, source)), leaked
 
 
 def apply_pulse(

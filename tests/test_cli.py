@@ -814,6 +814,10 @@ MALFORMED_REPORTS = {
     "generation-a-string": (lambda d: d["generation"].update({"2": "x"}), "generation"),
     "generation-negative": (lambda d: d["generation"].update({"2": -7}), "generation"),
     "generation-a-bool": (lambda d: d["generation"].update({"2": True}), "generation"),
+    "generation-lacks-a-final-state": (lambda d: d["generation"].pop("2"), "generation"),
+    "generation-lists-a-state-twice": (
+        lambda d: d["generation"].update({"02": d["generation"]["2"] + 7}), "generation"
+    ),
     "amplitude-part-a-bool": (lambda d: d["final_amps"][1].__setitem__(1, True), "final_amps"),
     "amplitude-part-nan": (lambda d: d["final_amps"][1].__setitem__(2, math.nan), "final_amps"),
     "state-negative": (lambda d: d["final_amps"][1].__setitem__(0, "-3"), "final_amps"),

@@ -186,6 +186,31 @@ class TestRunReportSerialization:
         assert rep_a.trace_csv() == rep_b.trace_csv()
         assert rep_a.config_hash == rep_b.config_hash
 
+    def test_trace_csv_equals_csv_writer(self):
+        # the trace lines are joined by hand; csv.writer renders the same
+        # bytes for a run's trace, an empty one and rows of edge values
+        def written(trace):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["pulse", "time", "norm", "leaked", "n_states", "ref_re", "ref_im"])
+            for e in trace:
+                ref = e.reference_amplitude
+                writer.writerow([e.pulse_index, repr(e.time), repr(e.norm), repr(e.leaked),
+                                 e.n_states, "" if ref is None else repr(ref.real),
+                                 "" if ref is None else repr(ref.imag)])
+            return buf.getvalue()
+
+        run, _ = small_run(trace=True)
+        refs = [None, complex(-0.0, 5e-324), complex(1e308, -1e308),
+                complex(math.nan, math.inf), complex(-math.inf, -0.0)]
+        edges = [report_module.TraceEntry(i, t, EDGE_PARTS[-1 - i], EDGE_PARTS[i - 3], 10 * i, ref)
+                 for i, (t, ref) in enumerate(zip(EDGE_PARTS, refs * 2))]
+        for trace in (run.trace, [], edges):
+            report = make_report("perturbative", CFG, None, {}, 0.0, 1.0, {}, trace=trace)
+            assert report.trace_csv() == written(trace)
+        assert len(run.trace) > 10
+        assert "nan,inf\n" in report.trace_csv() and ",,\n" in report.trace_csv()
+
 
 def dumped(report) -> bytes:
     """``json.dumps(report.to_dict(), separators=(",", ":"))`` and a newline."""

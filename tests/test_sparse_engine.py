@@ -725,6 +725,22 @@ class TestLineageType:
         assert list(report.generation.items()) == generation
         assert set(report.generation.values()) == {0, 1, 2}
 
+    def test_input_rows_only_after_a_hand_over(self):
+        # the kernel's lineage carries its input rows when its input was a
+        # dict; after a kernel output the replay has rebuilt them already
+        initial = SparseState(self.superposition(3 * PACKED_MIN_STATES, 3))
+        pulses = [self.PULSE, sp.Pulse(frequency=self.CFG.omega(101), rabi=0.2, duration=7.0)]
+        first = apply_pulse(initial, pulses[0], self.CFG, 1e-6)
+        second = apply_pulse(first, pulses[1], self.CFG, 1e-6)
+        assert np.array_equal(first.amps.lineage[2], pack_states(initial.amps, 200))
+        assert type(second.amps) is PackedAmps and second.amps.lineage[2] is None
+        report = sp.run_protocol(initial, pulses, self.CFG, cutoff=1e-6)
+        final, leaked, generation, _ = reference_run(initial, pulses, self.CFG, 1e-6)
+        assert list(report.final_amps.items()) == final
+        assert report.leaked == leaked
+        assert list(report.generation.items()) == generation
+        assert set(report.generation.values()) == {0, 1, 2}
+
 
 class TestPackedRows:
     @pytest.mark.parametrize("words", [1, 2, 4, 16])
