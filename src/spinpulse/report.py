@@ -355,9 +355,10 @@ def run_pulses(
     Each pulse logs which states it stored: the packed kernel's ``lineage``
     as the kernel hands it (with its input rows when its input was not a
     kernel output), or else the states the previous pulse did not store.
-    ``_first_crossings`` replays the log once, at the end, and searches the
-    final states' keys only for rows that share a hash bucket with a final
-    state.
+    ``_first_crossings`` replays the log once, at the end: it rebuilds each
+    kernel output's rows with a hash carried from their source rows', and
+    searches the final states' keys only for rows that share a hash bucket
+    with a final state.
     """
     ref = protocol.initial_state
     shown = view(state)
@@ -377,16 +378,23 @@ def run_pulses(
 
 def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
     """Replay ``run_pulses``'s log forward: the first pulse at which each
-    state of ``final`` was stored, in ``final``'s order.  Of the rows rebuilt
-    by ``chain.descend``, only those in a ``_bucket`` a final state occupies
-    are searched, each row's ``S`` view being its key; a key comparison
-    confirms each, so no hash changes the result."""
+    state of ``final`` was stored, in ``final``'s order.
+
+    Each rebuilt row (``chain.descend``) carries a 64-bit hash, the XOR of
+    ``_spin_words`` over its set spins, so a row's hash is its source row's
+    XOR the flipped spin's word: one ``take`` and a few operations a row,
+    whatever the row width.  Hashes are computed from rows only at a
+    hand-over and for the final states.  Only the rows whose hash falls in a
+    bucket a final state occupies are searched, each row's ``S`` view being
+    its key; a key comparison confirms each, so no hash changes the result.
+    """
     if not final:
         return {}
     where = {s: j for j, s in enumerate(final)}
     first = np.full(len(final), -1)
     rows = keys = order = occupied = None
     bits = (16 * len(final) - 1).bit_length()  # at least 16 buckets per final state
+    shift = np.uint64(64 - bits)  # a hash's bucket is its top bits
     for idx, entry in enumerate(log):
         if type(entry) is list:
             for s in entry:
@@ -395,16 +403,21 @@ def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
                     first[j] = idx
             continue
         k, codes, source = entry
-        rows = descend(rows if source is None else source, k, codes)
         if keys is None:
-            packed = pack_states(final, 64 * rows.shape[1])
+            width = source.shape[1]
+            words = _spin_words(width)
+            table = _byte_tables(words)
+            packed = pack_states(final, 64 * width)
             occupied = np.zeros(1 << bits, bool)
-            occupied[_bucket(packed, bits)] = True
-            keys = packed.view(f"S{8 * rows.shape[1]}").ravel()
+            occupied[_row_hashes(packed, table) >> shift] = True
+            keys = packed.view(f"S{8 * width}").ravel()
             del packed
             order = np.argsort(keys)
             keys = keys[order]
-        found = rows.take(np.flatnonzero(occupied[_bucket(rows, bits)]), axis=0)
+        if source is not None:
+            rows, hashes = source, _row_hashes(source, table)
+        rows, hashes = descend(rows, k, codes), _descend_hashes(hashes, k, codes, words)
+        found = rows.take(np.flatnonzero(occupied[hashes >> shift]), axis=0)
         found = found.view(keys.dtype).ravel()
         pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
         hit = order[pos[keys[pos] == found]]
@@ -412,15 +425,51 @@ def _first_crossings(log: list, final: list[int]) -> dict[int, int]:
     return dict(zip(final, first.tolist()))
 
 
-def _bucket(rows: np.ndarray, bits: int) -> np.ndarray:
-    """Each packed row's bucket in [0, 2^bits), hashed in one accumulator."""
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    h = rows[:, 0] * golden
-    for w in range(1, rows.shape[1]):
-        h ^= rows[:, w]
-        h *= golden
-    h >>= np.uint64(64 - bits)
-    return h
+def _spin_words(width: int) -> np.ndarray:
+    """A fixed 64-bit word for each spin of ``width``-word packed rows, the
+    splitmix64 finalizer of its index: a row's replay hash is the XOR of
+    the words of its set spins."""
+    z = np.arange(1, 64 * width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _descend_hashes(hashes: np.ndarray, k: int, codes: np.ndarray, words: np.ndarray):
+    """The replay hashes of ``chain.descend(rows, k, codes)`` from ``hashes``,
+    those of ``rows``: the source row's, XOR spin k's word where bit k flips."""
+    out = hashes.take(codes >> 1)
+    out ^= (codes & 1).astype(np.uint64) * words[k]
+    return out
+
+
+def _byte_tables(words: np.ndarray) -> np.ndarray:
+    """(B, 256) tables for rows of B bytes: entry [b, v] is the XOR of the
+    words of the spins set in value v at byte b.  A row's bytes run most
+    significant first, so byte b holds spins 8 (B - 1 - b) to 8 (B - b) - 1.
+    Built by doubling, one array operation per bit."""
+    by_byte = words.reshape(-1, 8)[::-1]
+    table = np.zeros((len(by_byte), 256), np.uint64)
+    for bit in range(8):
+        np.bitwise_xor(table[:, :1 << bit], by_byte[:, bit, None], out=table[:, 1 << bit:2 << bit])
+    return table
+
+
+def _row_hashes(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The replay hash of each packed row, from its bytes and ``_byte_tables``:
+    one table entry per byte, XORed, in chunks of rows that bound the
+    (bytes, rows) index array to 256 KB."""
+    data = rows.view(np.uint8)
+    start = np.arange(0, table.size, 256)[:, None]  # each byte's table in the flat one
+    flat = table.ravel()
+    out = np.empty(len(rows), np.uint64)
+    step = max(1, (1 << 15) // len(start))
+    for i in range(0, len(rows), step):
+        np.bitwise_xor.reduce(flat.take(data[i:i + step].T + start), axis=0, out=out[i:i + step])
+    return out
 
 
 def _trace_entry(idx: int, shown: View, ref: int) -> TraceEntry:

@@ -619,28 +619,41 @@ class TestPackedRuns:
     @pytest.mark.parametrize("hashing", ["constant", "shared"])
     def test_replay_exact_whatever_the_hash(self, n, count, hashing, monkeypatch):
         # the first-crossing replay's bucket prefilter only narrows the key
-        # search: with every row a candidate, or with the final states in one
-        # bucket together with rows that are not final states, the ledger is
+        # search: with every spin word zero, so that every row is a candidate,
+        # or with the words of every other window spin zero, so that rows
+        # such flips away from a final state share its bucket, the ledger is
         # unchanged
-        cfg, _, initial, pulses = mixed_draw(n, count)
+        cfg, spins, initial, pulses = mixed_draw(n, count)
         final_amps, _, generation, _ = reference_run(initial, pulses, cfg, 1e-6)
-        final = {bytes(r) for r in pack_states([s for s, _ in final_amps], 64 * ((n + 63) // 64))}
-        others = []
+        spin_words, kernel, kept = report_module._spin_words, sparse_engine._packed_pulse, []
 
-        def bucket(rows, bits):
-            out = []
-            for row in map(bytes, rows):
-                if row in final or hashing == "constant":
-                    out.append(0)
-                else:  # alternately in the final states' bucket and in bucket 1
-                    others.append(row)
-                    out.append(len(others) % 2)
-            return np.array(out, np.uint64)
+        def words(width):
+            out = spin_words(width)
+            out[slice(None) if hashing == "constant" else spins[::2]] = 0
+            return out
 
-        monkeypatch.setattr(report_module, "_bucket", bucket)
+        def watched(*args):
+            out = kernel(*args)
+            kept.append(out[0].rows)
+            return out
+
+        monkeypatch.setattr(report_module, "_spin_words", words)
+        monkeypatch.setattr(sparse_engine, "_packed_pulse", watched)
         report = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
         assert list(report.generation.items()) == generation
-        assert hashing == "constant" or len(others) > 1
+
+        # the rows the replay rebuilds (the kernel's): non-final ones fall in
+        # the final states' buckets, and with "shared" others do not
+        table, final = report_module._byte_tables(words((n + 63) // 64)), report.final_amps
+        shift = np.uint64(64 - (16 * len(final) - 1).bit_length())
+        occupied = set(report_module._row_hashes(pack_states(final, n), table) >> shift)
+        rows = np.concatenate(kept)
+        buckets = report_module._row_hashes(rows, table) >> shift
+        is_final = np.isin(rows.view(f"V{rows.shape[1] * 8}").ravel(),
+                           pack_states(final, n).view(f"V{rows.shape[1] * 8}").ravel())
+        searched = np.isin(buckets, list(occupied))
+        assert (searched & ~is_final).sum() > 1
+        assert hashing == "constant" or (~searched).sum() > 1
 
     def test_lone_states_split_then_pair_up(self, lookups):
         # one pulse splits lone states; the next one sees pairs on both sides
@@ -669,6 +682,77 @@ class TestPackedRuns:
         loop = sp.run_protocol(SparseState.from_basis(0), proto, cfg, cutoff=5e-7, trace=True)
         assert repr(packed.trace) == repr(loop.trace)
         assert packed.trace_csv() == loop.trace_csv()
+
+
+class TestReplayHash:
+    """The replay's hash of a rebuilt row, carried from its source row's,
+    equals the hash computed from the row's bytes, and both equal the XOR of
+    the set spins' words."""
+
+    @pytest.mark.parametrize("n", [64, 65, 130, 200, 1000])
+    def test_carried_equals_hash_of_rebuilt_rows(self, n):
+        rng, gen = random.Random(n), np.random.default_rng(n)
+        width = (n + 63) // 64
+        words = report_module._spin_words(width)
+        table = report_module._byte_tables(words)
+        states = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(3000)]
+        rows = pack_states(states, n)
+        hashes = report_module._row_hashes(rows, table)
+        expected = []
+        for s in states[:200]:
+            h = 0
+            for i in range(n):
+                if s >> i & 1:
+                    h ^= int(words[i])
+            expected.append(h)
+        assert hashes[:200].tolist() == expected
+        # chains of descend, each spin k several times, codes in both types
+        for step, k in enumerate(sorted({0, 63, 64, n - 1} & set(range(n))) * 3):
+            dtype = (np.uint16, np.uint32)[step % 2]
+            codes = gen.integers(0, 2 * len(rows), size=len(rows) + 500).astype(dtype)
+            rows = descend(rows, k, codes)
+            hashes = report_module._descend_hashes(hashes, k, codes, words)
+            assert np.array_equal(hashes, report_module._row_hashes(rows, table)), (k, step)
+
+    def test_hashes_of_no_rows(self):
+        table = report_module._byte_tables(report_module._spin_words(2))
+        assert report_module._row_hashes(np.zeros((0, 2), ">u8"), table).shape == (0,)
+
+
+class TestTablesPerDistinctPulse:
+    """A run builds the packed kernel's table once per distinct (frequency,
+    rabi, duration) and writes in each pulse's t0 phases: repeats of one
+    pulse at different start times, and jittered copies of it, give the
+    per-state loop's run exactly."""
+
+    def test_repeated_and_jittered_pulses(self, monkeypatch):
+        n = 130
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
+        rng = random.Random(26)
+        base = [sp.Pulse(frequency=cfg.omega(k) + d, rabi=0.3, duration=d + 4.0)
+                for k, d in ((64, 2.0), (63, -1.0), (65, 0.0))]
+        jittered = [sp.Pulse(frequency=p.frequency + rng.uniform(-0.05, 0.05),
+                             rabi=p.rabi, duration=p.duration) for p in base for _ in range(2)]
+        pulses = base * 4 + jittered
+        rng.shuffle(pulses)
+        initial = SparseState(random_superposition(n, 300, [63, 64, 65], rng), time=1.5)
+        built, new_table = [], sparse_engine._new_code_table
+        calls, kernel = [], sparse_engine._packed_pulse
+        monkeypatch.setattr(sparse_engine, "_new_code_table",
+                            lambda pairs: built.append(pairs.t0) or new_table(pairs))
+        monkeypatch.setattr(sparse_engine, "_packed_pulse",
+                            lambda *a: calls.append(a[1]) or kernel(*a))
+        packed = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
+        assert len(calls) == len(pulses)  # every pulse ran packed
+        assert len(built) == len(set(pulses)) == 9
+        monkeypatch.setattr(sparse_engine, "PACKED_MIN_STATES", math.inf)
+        loop = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
+        assert len(built) == 9
+        final, leaked, generation, _ = reference_run(initial, pulses, cfg, 1e-6)
+        for report in (packed, loop):
+            assert repr(list(report.final_amps.items())) == repr(final)
+            assert report.leaked == leaked
+            assert list(report.generation.items()) == generation
 
 
 class TestLineageType:
