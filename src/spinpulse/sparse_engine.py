@@ -28,10 +28,6 @@ spin k in the window, that is set by the neighbour bits k-1 and k+1, so each
 pulse computes at most four blocks, one per neighbourhood pattern, and
 applies each to every pair with that pattern using the same operations in
 the same order.  With several, each state's ``chain.nearest_flip`` decides.
-Only a block's phase ph_x depends on t0: ``run_protocol`` keeps one
-``PulsePairs`` per distinct (frequency, rabi, duration) for the run, so the
-other factors, and the packed kernel's table, are computed once per
-distinct pulse, and each pulse computes only its ph_x.
 
 Emission order, which fixes the amplitudes' insertion order and that of
 the ``leaked`` sum: states are visited in ascending order; one out of the
@@ -48,12 +44,11 @@ the stored pairs, found by clearing bit k in one column of the sorted copy
 and sorting again, stably, so that the two members of a pair are equal rows
 side by side, the one with bit k clear first; and each row's neighbourhood
 code, bits k-1, k and k+1 as ``PulsePairs.pair`` reads them, which indexes
-one table per distinct pulse (``_code_table``), into which each pulse writes
-its ph_x.  The table gives the slots a row emits, which one holds the row
-with bit k flipped, and the 16 real coefficients of its pair's two outputs,
-computed in split real and imaginary arithmetic that rounds as CPython's
-complex product does (numpy's complex multiply does not), both terms and
-both slots in one stacked pass.  Slots come from a cumulative sum, and
+one table per pulse (``_code_table``).  The table
+gives the slots a row emits, which one holds the row with bit k flipped, and
+the 16 real coefficients of its pair's two outputs, computed in split real
+and imaginary arithmetic that rounds as CPython's complex product does
+(numpy's complex multiply does not).  Slots come from a cumulative sum, and
 each permutation of the amplitudes is one ``take``.  The prune runs in the
 kernel, so rows are built (``chain.descend``) for the kept slots only, and
 the output keeps their lineage, which ``report.run_pulses`` logs for the
@@ -95,11 +90,11 @@ from .report import RunReport, make_report, reporting_cutoff, run_pulses
 # N=1000 jittered runs (``tools/pulse_replay.py record``), both paths on the
 # same inputs, each with its share of the first-crossing log and replay (best
 # of 5, the paths interleaved call by call, 2-core host): the kernel wins from
-# 100-124 states at N=200 (207 us a pulse against 244 us for the loop) and
-# from 125-149 at N=1000 (289 against 338 us); the loop wins at 75-99 (171
-# against 211 us at N=200, 194 against 287 us at N=1000) and at 25-49 (75 and
-# 141 us against 197 and 455 us).  Whole Fig. 2 runs with the threshold at
-# 100, 110, 125 and 140 differ by less than the host's run-to-run spread.
+# 100-124 states at N=200 (229 us a pulse against 263 us for the loop) and
+# from 125-149 at N=1000 (365 against 452 us); the loop wins at 75-99 (185
+# against 235 us at N=200) and 100-124 at N=1000 (345 against 526 us), and at
+# 25-49 (82 and 102 us against 194 and 230 us).  Whole Fig. 2 runs with the
+# threshold at 100, 110, 125 and 140 differ by less than the host's spread.
 PACKED_MIN_STATES = 125
 
 
@@ -171,10 +166,9 @@ class SparseState:
         return cls(amps={state: 1.0 + 0.0j})
 
 
-def _block(e: float, nu: float, rabi: float, tau: float, window: float):
-    """(diag, cross, ph_m, diag*, ph_m*, delta) of a pair whose flip energy
-    is +-e, * marking a conjugate: the factors of its block that do not
-    depend on the start time; None outside the window."""
+def _block(e: float, nu: float, rabi: float, tau: float, t0: float, window: float):
+    """(diag, cross, ph_m, ph_x*, diag*, ph_m*, ph_x) of a pair whose flip
+    energy is +-e, * marking a conjugate; None outside the window."""
     delta = abs(e) - nu
     if abs(delta) > window:
         return None
@@ -185,67 +179,34 @@ def _block(e: float, nu: float, rabi: float, tau: float, window: float):
     diag = complex(cos_l, (delta / lam) * sin_l)
     cross = 1j * (rabi / lam) * sin_l
     ph_m = cmath.exp(-0.5j * delta * tau)
-    return diag, cross, ph_m, diag.conjugate(), ph_m.conjugate(), delta
-
-
-def _at(factors, tau: float, t0: float):
-    """The block (diag, cross, ph_m, ph_x*, diag*, ph_m*, ph_x) of ``_block``'s
-    factors for a pulse starting at t0; None outside the window."""
-    if factors is None:
-        return None
-    diag, cross, ph_m, diag_c, ph_mc, delta = factors
     ph_x = cmath.exp(1j * delta * (t0 + 0.5 * tau))
-    return diag, cross, ph_m, ph_x.conjugate(), diag_c, ph_mc, ph_x
+    return diag, cross, ph_m, ph_x.conjugate(), diag.conjugate(), ph_m.conjugate(), ph_x
 
 
 class PulsePairs:
     """Which pair each basis state joins under one pulse starting at ``t0``.
 
     ``pair(s)`` is (k, e, block) when s pairs with s ^ 2^k, e being the
-    signed flip energy of s and block that of ``_at``, and None when s is
+    signed flip energy of s and block that of ``_block``, and None when s is
     left alone.  With one window spin k, ``pattern(j)`` gives (e, block) of
     neighbour pattern j = bit(k-1) + 2 bit(k+1), e that of the member whose
     bit k is 0.  Blocks are computed when first asked for.
-
-    Of a block only the phase ph_x depends on t0.  ``at(t0)`` is the same
-    pulse starting at another time: it shares every t0-free factor, and the
-    packed kernel's table (``_code_table``), with this one, so a run that
-    keeps one ``PulsePairs`` per distinct pulse builds them once each and
-    computes only ph_x per pulse.
     """
 
-    __slots__ = ("pulse", "cfg", "t0", "spins", "_args", "_shared", "_blocks")
+    __slots__ = ("pulse", "cfg", "spins", "_args", "_blocks")
 
     def __init__(self, pulse: Pulse, cfg: ChainConfig, t0: float):
-        self.pulse, self.cfg, self.t0 = pulse, cfg, t0
+        self.pulse, self.cfg = pulse, cfg
         self.spins = window_spins(pulse.frequency, cfg)
-        self._args = pulse.frequency, pulse.rabi, pulse.duration, near_resonant_window(cfg)
-        # t0-free: (e, factors) by pattern j with one window spin, else
-        # factors by |e|, and the packed kernel's table under "table"
-        self._shared: dict = {}
-        self._blocks: dict = {}  # the blocks at t0, by the same keys
-
-    def at(self, t0: float) -> "PulsePairs":
-        pairs = object.__new__(PulsePairs)
-        pairs.pulse, pairs.cfg, pairs.spins = self.pulse, self.cfg, self.spins
-        pairs._args, pairs._shared = self._args, self._shared
-        pairs.t0, pairs._blocks = t0, {}
-        return pairs
+        self._args = pulse.frequency, pulse.rabi, pulse.duration, t0, near_resonant_window(cfg)
+        self._blocks: dict = {}  # (e, block) by pattern j with one window spin, else block by |e|
 
     def pattern(self, j: int):
         entry = self._blocks.get(j)
         if entry is None:
-            e, factors = self.factors(j)
-            entry = self._blocks[j] = e, _at(factors, self._args[2], self.t0)
-        return entry
-
-    def factors(self, j: int):
-        """(e, ``_block``'s t0-free factors) of pattern j, as ``pattern``."""
-        entry = self._shared.get(j)
-        if entry is None:
             k = self.spins[0]
             e = flip_energy((j & 1) << k >> 1 | (j >> 1) << (k + 1), k, self.cfg)
-            entry = self._shared[j] = e, _block(e, *self._args)
+            entry = self._blocks[j] = e, _block(e, *self._args)
         return entry
 
     def pair(self, s: int):
@@ -259,9 +220,7 @@ class PulsePairs:
         elif spins:
             k, e = nearest_flip(s, self.pulse.frequency, self.cfg)
             if abs(e) not in self._blocks:
-                if abs(e) not in self._shared:
-                    self._shared[abs(e)] = _block(e, *self._args)
-                self._blocks[abs(e)] = _at(self._shared[abs(e)], self._args[2], self.t0)
+                self._blocks[abs(e)] = _block(e, *self._args)
             blk = self._blocks[abs(e)]
         else:
             return None
@@ -282,70 +241,31 @@ def _code_table(pairs: PulsePairs):
     - ``count``, the slots the row emits: 1 out of the window, 2 in it;
     - ``flip``, the slot (0 for m, 1 for p) that holds the row with bit k
       flipped, the other one holding the row itself;
-    - ``coef``, shape (4, 2, 2, 8): the real and imaginary parts of alpha
-      and beta by term, slot and code, in out = (x alpha) beta + (y alpha')
-      beta' for the m and p slots, term 0 (alpha, beta) multiplying the
-      stored amplitude x and term 1 (alpha', beta') its partner's y.
+    - ``coef``, shape (8, 2, 8): the real and imaginary parts of alpha,
+      beta, gamma and delta in out = (x alpha) beta + (y gamma) delta for
+      the m and p slots, x being the stored amplitude and y its partner's.
 
     The stored amplitude's term comes first in both slots, so in the slot of
     the level that is not stored the two terms of the loop's sum change
     places; IEEE addition commutes exactly, signed zeros included.
-
-    The table is built once per distinct pulse (``_new_code_table``) and
-    kept with ``pairs``'s t0-free factors.  Each pulse copies ``coef`` and
-    writes in the phases ph_x* and ph_x of ``pairs.t0``, computed as the
-    per-state loop computes them: one ``cmath.exp`` per in-window pattern.
     """
-    table = pairs._shared.get("table")
-    if table is None:
-        table = pairs._shared["table"] = _new_code_table(pairs)
-    count, flip, coef, deltas, targets = table
-    when = pairs.t0 + 0.5 * pairs._args[2]
-    phases = []
-    for delta in deltas:
-        ph_x = cmath.exp(1j * delta * when)
-        phases += (ph_x.real, -ph_x.imag, ph_x.real, ph_x.imag) * 2
-    coef = coef.copy()
-    coef.put(targets, phases)
-    return count, flip, coef
-
-
-# flat indices in ``_code_table``'s coef[part, term, slot, code] of ph_x*,
-# real and imaginary, and of ph_x, by code and whether the stored state is
-# the lower level: ph_x* is the m slot's beta of that term, ph_x the p slot's
-# beta of the other term
-_PHASE_TARGETS = tuple(
-    tuple(tuple(((part * 2 + term) * 2 + slot) * 8 + code
-                for part, term, slot in ((2, own_m, 0), (3, own_m, 0),
-                                         (2, 1 - own_m, 1), (3, 1 - own_m, 1)))
-          for own_m in (0, 1))
-    for code in range(8)
-)
-
-
-def _new_code_table(pairs: PulsePairs):
-    """``_code_table``'s count, flip and coef without the phases, plus the
-    detuning of each in-window pattern and the flat indices in coef, two
-    codes a pattern, where its phases go."""
-    count, flip, coef = [1] * 8, [0] * 8, [0j] * 64
-    deltas, targets = [], []
-    for j in range(4):
-        e, factors = pairs.factors(j)
-        if factors is None:
+    blocks = [pairs.pattern(j) for j in range(4)]
+    count, flip, coef = [], [], []
+    for code in range(8):
+        e, blk = blocks[code & 1 | code >> 1 & 2]
+        if blk is None:
+            count.append(1)
+            flip.append(0)
+            coef.extend((0j,) * 8)
             continue
-        diag, cross, ph_m, diag_c, ph_mc, delta = factors
-        deltas.append(delta)
-        for code in (j & 1 | (j & 2) << 1, j & 1 | (j & 2) << 1 | 2):  # bit k clear, set
-            own_m = (-e if code & 2 else e) > 0.0  # the stored state is the lower level
-            count[code], flip[code] = 2, own_m
-            coef[8 * code:8 * code + 8] = (
-                (diag, ph_m, cross, 0j, cross, 0j, diag_c, ph_mc) if own_m
-                else (cross, 0j, diag, ph_m, diag_c, ph_mc, cross, 0j))
-            targets += _PHASE_TARGETS[code][own_m]
-    # by code, slot, term, (alpha, beta), (real, imaginary)
-    coef = np.fromiter(coef, complex, 64).view(float).reshape(8, 2, 2, 2, 2)
-    coef = coef.transpose(3, 4, 2, 1, 0).reshape(4, 2, 2, 8)
-    return np.array(count), np.array(flip, np.intp), coef, deltas, np.array(targets, np.intp)
+        diag, cross, ph_m, ph_xc, diag_c, ph_mc, ph_x = blk
+        own_m = (-e if code & 2 else e) > 0.0  # the stored state is the lower level
+        count.append(2)
+        flip.append(own_m)
+        coef.extend((diag, ph_m, cross, ph_xc, cross, ph_x, diag_c, ph_mc) if own_m
+                    else (cross, ph_xc, diag, ph_m, diag_c, ph_mc, cross, ph_x))
+    coef = np.fromiter(coef, complex, 64).view(float).reshape(8, 2, 8)
+    return np.array(count), np.array(flip, np.intp), coef.transpose(2, 1, 0).copy()
 
 
 def _neighbourhood_codes(rows: np.ndarray, k: int) -> np.ndarray:
@@ -374,7 +294,7 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
     rows, words = amps.rows, amps.rows.shape[1]
     order = np.argsort(rows.view(f"V{8 * words}").ravel(), kind="stable")
     keys, c = rows.take(order, axis=0), amps.c.take(order)
-    code = _neighbourhood_codes(keys, k)
+    code = _neighbourhood_codes(keys, k).view(np.intp)  # 0-7: a free view
     # pair each state s with bit k clear with s + 2^k, if it is stored: with
     # bit k cleared their rows are equal, and a stable sort puts them side
     # by side, s first
@@ -402,25 +322,25 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
     slot = np.cumsum(count).take(lead) - 2  # the m slot; the p slot follows
     code = code.take(lead)
     lineage[slot + flip_of.take(code)] += 1
-    # each lead's stored amplitude x and its partner's y, stacked by term:
-    # (x alpha) beta and (y alpha') beta' in one pass, for both slots
     other = np.zeros(len(c), complex)
     other[lower] = c.take(pos)
-    xy = np.empty((2, 1, len(lead)), complex)
-    c.take(lead, out=xy[0, 0])
-    other.take(lead, out=xy[1, 0])
-    coef = coef.take(code, axis=3)
-    re, im = _mul(_mul((xy.real, xy.imag), coef[0:2]), coef[2:4])
+    x, y = c.take(lead), other.take(lead)
+    coef = coef.take(code, axis=2)
+    first = _mul(_mul((x.real, x.imag), coef[0:2]), coef[2:4])
+    second = _mul(_mul((y.real, y.imag), coef[4:6]), coef[6:8])
     pair = np.empty((2, len(lead)), complex)
-    np.add(re[0], re[1], out=pair.real)
-    np.add(im[0], im[1], out=pair.imag)
+    np.add(first[0], second[0], out=pair.real)
+    np.add(first[1], second[1], out=pair.imag)
     out[slot], out[slot + 1] = pair
 
     p = out.real * out.real + out.imag * out.imag
     drop = p < cutoff
     if drop.any():
-        # summed in emission order, one addition at a time, as ``prune`` does
-        leaked = float(np.add.accumulate(np.append(leaked, p[drop]))[-1])
+        # summed in emission order, one addition at a time, from ``leaked``,
+        # as ``prune`` does
+        dropped = p[drop]
+        dropped[0] += leaked
+        leaked = float(np.add.accumulate(dropped)[-1])
         keep = np.flatnonzero(~drop)
         lineage, out = lineage.take(keep), out.take(keep)
     source = rows if amps.lineage is None else None  # the replay rebuilds a kernel output's rows
@@ -428,27 +348,17 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
 
 
 def apply_pulse(
-    state: SparseState, pulse: Pulse, cfg: ChainConfig, cutoff: float = 0.0,
-    tables: dict | None = None,
+    state: SparseState, pulse: Pulse, cfg: ChainConfig, cutoff: float = 0.0
 ) -> SparseState:
     """Propagate every tracked amplitude through one pulse, then drop the
     states with |C|^2 below ``cutoff`` into ``leaked`` (none at 0).
 
     With one spin in the window and at least ``PACKED_MIN_STATES`` states the
     result is packed and pruned in the kernel; otherwise it is a dict, pruned
-    by ``prune``.  Pairs follow ``PulsePairs``.  ``tables`` is a run's dict
-    of the ``PulsePairs`` of each distinct (frequency, rabi, duration) on
-    ``cfg``, filled as pulses come: a pulse found in it reuses that pulse's
-    t0-free tables (``PulsePairs.at``).  It changes no result.
+    by ``prune``.  Pairs follow ``PulsePairs``.
     """
     t0 = state.time
-    if tables is None:
-        pairs = PulsePairs(pulse, cfg, t0)
-    else:
-        key = pulse.frequency, pulse.rabi, pulse.duration
-        if key not in tables:
-            tables[key] = PulsePairs(pulse, cfg, t0)
-        pairs = tables[key].at(t0)  # the kept one holds t0-free parts only
+    pairs = PulsePairs(pulse, cfg, t0)
     amps = state.amps
     if len(amps) >= PACKED_MIN_STATES and len(pairs.spins) == 1:
         # type() rather than isinstance(), which on a Mapping subclass goes
@@ -519,11 +429,10 @@ def run_protocol(
             raise ValueError(f"state {s} does not fit in {cfg.n_qubits} bits")
     protocol = as_protocol(protocol)
     threshold = reporting_cutoff(cfg, cutoff)
-    tables: dict = {}  # PulsePairs by distinct pulse, for this run only
     _, (amps, leaked, time), generation, rows = run_pulses(
         initial,
         protocol,
-        lambda state, pulse: apply_pulse(state, pulse, cfg, threshold, tables),
+        lambda state, pulse: apply_pulse(state, pulse, cfg, threshold),
         lambda state: (state.amps, state.leaked, state.time),
         trace,
     )

@@ -719,11 +719,10 @@ class TestReplayHash:
         assert report_module._row_hashes(np.zeros((0, 2), ">u8"), table).shape == (0,)
 
 
-class TestTablesPerDistinctPulse:
-    """A run builds the packed kernel's table once per distinct (frequency,
-    rabi, duration) and writes in each pulse's t0 phases: repeats of one
-    pulse at different start times, and jittered copies of it, give the
-    per-state loop's run exactly."""
+class TestRepeatedPulses:
+    """Repeats of one pulse at different start times, whose blocks differ
+    only in the phase ph_x, and jittered copies of it, run on the packed
+    kernel, give the per-state loop's run exactly."""
 
     def test_repeated_and_jittered_pulses(self, monkeypatch):
         n = 130
@@ -736,18 +735,15 @@ class TestTablesPerDistinctPulse:
         pulses = base * 4 + jittered
         rng.shuffle(pulses)
         initial = SparseState(random_superposition(n, 300, [63, 64, 65], rng), time=1.5)
-        built, new_table = [], sparse_engine._new_code_table
         calls, kernel = [], sparse_engine._packed_pulse
-        monkeypatch.setattr(sparse_engine, "_new_code_table",
-                            lambda pairs: built.append(pairs.t0) or new_table(pairs))
         monkeypatch.setattr(sparse_engine, "_packed_pulse",
                             lambda *a: calls.append(a[1]) or kernel(*a))
         packed = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
         assert len(calls) == len(pulses)  # every pulse ran packed
-        assert len(built) == len(set(pulses)) == 9
+        assert len(set(pulses)) == 9
         monkeypatch.setattr(sparse_engine, "PACKED_MIN_STATES", math.inf)
         loop = sp.run_protocol(initial, pulses, cfg, cutoff=1e-6)
-        assert len(built) == 9
+        assert len(calls) == len(pulses)
         final, leaked, generation, _ = reference_run(initial, pulses, cfg, 1e-6)
         for report in (packed, loop):
             assert repr(list(report.final_amps.items())) == repr(final)

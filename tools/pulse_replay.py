@@ -18,8 +18,7 @@ and bytes.  ``run_protocol`` calls split the calls into runs.
 (``PACKED_MIN_STATES`` set to 1 or to infinity), so ``. .:loop`` compares
 the two paths on the same inputs.  Each round replays the calls in order,
 each call once in each worker, the worker that goes first alternating from
-call to call; a worker passes one table dict to every call of a run, as
-``run_protocol`` does, where its ``apply_pulse`` takes one.  It prints, per
+call to call.  It prints, per
 checkout, the calls whose output differs from the recording and the sum of
 each call's shortest time, by the path the call took, and with ``--bin`` by
 input state count too.  Exits 1 if any output differs.
@@ -30,7 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import inspect
 import json
 import math
 import pickle
@@ -72,7 +70,7 @@ def record(workload: str, seed: int | None, path: Path) -> int:
     calls, runs = [], [0]
     apply, run_protocol = sparse_engine.apply_pulse, sparse_engine.run_protocol
 
-    def recorded_apply(state, pulse, cfg, cutoff=0.0, *args, **kwargs):
+    def recorded_apply(state, pulse, cfg, cutoff=0.0):
         amps = state.amps
         if type(amps) is sparse_engine.PackedAmps:  # rows as bytes: pickle drops ">u8"
             lineage = amps.lineage and amps.lineage[:2] + (
@@ -80,7 +78,7 @@ def record(workload: str, seed: int | None, path: Path) -> int:
             held = ("packed", amps.rows.tobytes(), amps.rows.shape[1], amps.c, lineage)
         else:
             held = ("dict", list(amps.items()))
-        out = apply(state, pulse, cfg, cutoff, *args, **kwargs)
+        out = apply(state, pulse, cfg, cutoff)
         calls.append({
             "run": runs[0], "amps": held, "leaked": state.leaked, "time": state.time,
             "pulse": (pulse.frequency, pulse.rabi, pulse.duration),
@@ -114,16 +112,10 @@ def worker(checkout: str, path: str) -> None:
 
     if forced:
         sparse_engine.PACKED_MIN_STATES = {"packed": 1, "loop": math.inf}[forced]
-    takes_tables = "tables" in inspect.signature(sparse_engine.apply_pulse).parameters
     with open(path, "rb") as f:
         calls = pickle.load(f)["calls"]
-    tables, last = {}, None
     for line in sys.stdin:
-        i = int(line)
-        call = calls[i]
-        if last is None or i <= last or call["run"] != calls[last]["run"]:
-            tables = {}  # a run starts again
-        last = i
+        call = calls[int(line)]
         if call["amps"][0] == "dict":
             amps = dict(call["amps"][1])
         else:
@@ -133,12 +125,9 @@ def worker(checkout: str, path: str) -> None:
             amps = sparse_engine.PackedAmps(rows_of(data, width), c, lineage)
         state = sparse_engine.SparseState(amps, call["leaked"], call["time"])
         args = (Pulse(*call["pulse"]), ChainConfig(**call["cfg"]), call["cutoff"])
-        extra = (dict(tables),) if takes_tables else ()
         start = time.perf_counter()
-        out = sparse_engine.apply_pulse(state, *args, *extra)
+        out = sparse_engine.apply_pulse(state, *args)
         elapsed = time.perf_counter() - start
-        if takes_tables:
-            tables = extra[0]
         packed = type(out.amps) is sparse_engine.PackedAmps
         print(json.dumps({"s": elapsed, "ok": digest(out) == call["digest"],
                           "path": "packed" if packed else "loop"}), flush=True)
