@@ -44,17 +44,22 @@ the stored pairs, found by clearing bit k in one column of the sorted copy
 and sorting again, stably, so that the two members of a pair are equal rows
 side by side, the one with bit k clear first; and each row's neighbourhood
 code, bits k-1, k and k+1 as ``PulsePairs.pair`` reads them, which indexes
-one table per pulse (``_code_table``).  The table
-gives the slots a row emits, which one holds the row with bit k flipped, and
-the 16 real coefficients of its pair's two outputs, computed in split real
-and imaginary arithmetic that rounds as CPython's complex product does
-(numpy's complex multiply does not).  Slots come from a cumulative sum, and
-each permutation of the amplitudes is one ``take``.  The prune runs in the
-kernel, so rows are built (``chain.descend``) for the kept slots only, and
-the output keeps their lineage, which ``report.run_pulses`` logs for the
-first-crossing ledger: the codes, plus the input rows when the input was
-not itself a kernel output.  Other pulses, and smaller states, run the
-per-state loop, whose fixed cost per pulse is ~15x lower, and then
+the pulse's tables (``_code_table``).  Every row has two fixed output slots,
+m then p, and runs one product chain F = (x alpha) beta for both, in split
+real and imaginary arithmetic that rounds as CPython's complex product does
+(numpy's complex multiply does not).  A pair's lead, its first stored
+member, writes its own F plus its partner's: the second member's F, which
+that member computes with the lead's coefficients (its table index is 8 +
+the lead's code, 8-15), or, when the partner is not stored, the F of one of
+8 zero-amplitude rows appended to the input, one per lead code, which adds
+the loop's signed zero.  Tables say which slots are valid and which holds
+the row with bit k flipped, so the output is the valid slots in row-major
+order and each permutation of the amplitudes is one ``take``.  The prune
+runs in the kernel, so rows are built (``chain.descend``) for the kept
+slots only, and the output keeps their lineage, which ``report.run_pulses``
+logs for the first-crossing ledger: the codes, plus the input rows when the
+input was not itself a kernel output.  Other pulses, and smaller states,
+run the per-state loop, whose fixed cost per pulse is lower, and then
 ``prune``.  Both give bit-identical amplitudes, order and ``leaked``.
 
 Not modelled: far-detuned leakage.  Flips outside the near-resonant window
@@ -89,20 +94,21 @@ from .report import RunReport, make_report, reporting_cutoff, run_pulses
 # kernel.  Measured per pulse on the recorded calls of the N=200 Fig. 2 and
 # N=1000 jittered runs (``tools/pulse_replay.py record``), both paths on the
 # same inputs, each with its share of the first-crossing log and replay (best
-# of 5, the paths interleaved call by call, 2-core host): the kernel wins from
-# 100-124 states at N=200 (229 us a pulse against 263 us for the loop) and
-# from 125-149 at N=1000 (365 against 452 us); the loop wins at 75-99 (185
-# against 235 us at N=200) and 100-124 at N=1000 (345 against 526 us), and at
-# 25-49 (82 and 102 us against 194 and 230 us).  Whole Fig. 2 runs with the
-# threshold at 100, 110, 125 and 140 differ by less than the host's spread.
-PACKED_MIN_STATES = 125
+# of 9, the paths interleaved call by call, 2-core host): the kernel wins from
+# 75-99 states at both N (118 us a pulse against 149 us for the loop at N=200,
+# 138 against 174 us at N=1000); at 50-74 the loop wins at N=200 (108 against
+# 115 us) and they tie at N=1000 (130 us each), and at 25-49 the loop wins
+# (70 and 86 us against 115 and 125 us).  Whole Fig. 2 runs with the
+# threshold at 75, 100 and 125 differ by less than the host's spread.
+PACKED_MIN_STATES = 75
 
 
 class PackedAmps(Mapping):
     """Amplitudes of S states as arrays: ``rows`` from ``chain.pack_states``
     and the complex128 amplitudes ``c``.  ``values`` and ``get``, which a
-    traced run calls every pulse, read the arrays; other mapping access
-    builds an int-keyed dict on first use.  The kernel's output carries
+    traced run calls every pulse, read the arrays, ``get`` answering any
+    number as the int-keyed dict would; other mapping access builds that
+    dict on first use.  The kernel's output carries
     ``lineage`` = (k, codes, source), from which ``chain.descend`` rebuilds
     ``rows``: source is the input rows when the input was no kernel output
     (a hand-over), else None, the replay having rebuilt the input's rows
@@ -116,6 +122,17 @@ class PackedAmps(Mapping):
     def pack(cls, amps: Mapping[int, complex], n_qubits: int) -> "PackedAmps":
         return cls(pack_states(amps, n_qubits), np.fromiter(amps.values(), complex, len(amps)))
 
+    def __reduce__(self):
+        return PackedAmps._unpickled, (self.rows, self.c, self.lineage)
+
+    @classmethod
+    def _unpickled(cls, rows, c, lineage):
+        """numpy unpickles a ``>u8`` array as native uint64 of equal values,
+        so the rows, and the lineage's input rows, are made big-endian again."""
+        if lineage is not None and lineage[2] is not None:
+            lineage = lineage[:2] + (lineage[2].astype(">u8", copy=False),)
+        return cls(rows.astype(">u8", copy=False), c, lineage)
+
     def as_dict(self) -> dict[int, complex]:
         if self._dict is None:
             rows = self.rows.view(f"V{8 * self.rows.shape[1]}").ravel().tolist()
@@ -127,9 +144,12 @@ class PackedAmps(Mapping):
         return self.c.tolist()
 
     def get(self, state: int, default=None):
-        try:
-            key = np.void(state.to_bytes(8 * self.rows.shape[1], "big"))
-        except (AttributeError, OverflowError):  # not an int, or wider than the rows
+        try:  # a number equal to an int finds that int's state, as in a dict
+            whole = state if type(state) is int else int(state.real)
+            key = np.void(whole.to_bytes(8 * self.rows.shape[1], "big"))
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            return default  # no number, infinite or NaN, negative, or wider than the rows
+        if whole != state:
             return default
         hit = np.flatnonzero(self.rows.view(key.dtype).ravel() == key)
         return complex(self.c[hit[0]]) if len(hit) else default
@@ -233,39 +253,66 @@ def _mul(a, b):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _code_table(pairs: PulsePairs):
-    """The packed kernel's table for a pulse with one window spin k, indexed
-    by a row's neighbourhood code 0-7: bits k-1, k and k+1 of its state
-    (those ``PulsePairs.pair`` reads).  Returns:
+def _slot_tables():
+    """The kernel's constant tables, indexed by a pulse's shape, then by a
+    row's table index: its code 0-7, or 8 + its lead's code (``_code_table``).
+    The shape holds, in bits 2j and 2j + 1, neighbour pattern j out of the
+    window (0), or with the flip energy e of its member with bit k clear
+    above (1), below (2) or at (3) zero:
 
-    - ``count``, the slots the row emits: 1 out of the window, 2 in it;
-    - ``flip``, the slot (0 for m, 1 for p) that holds the row with bit k
-      flipped, the other one holding the row itself;
-    - ``coef``, shape (8, 2, 8): the real and imaginary parts of alpha,
-      beta, gamma and delta in out = (x alpha) beta + (y gamma) delta for
-      the m and p slots, x being the stored amplitude and y its partner's.
-
-    The stored amplitude's term comes first in both slots, so in the slot of
-    the level that is not stored the two terms of the loop's sum change
-    places; IEEE addition commutes exactly, signed zeros included.
+    - ``vector``: the coefficient vector of the row's chain, 2j or 2j + 1
+      of its pattern j, or 8 (zeros) out of the window;
+    - ``valid``, (16, 2): the slots the row emits;
+    - ``flip``, (16, 2): 1 in the slot that holds the row with bit k flipped;
+    - ``outside``: the rows out of the window, which emit themselves.
     """
-    blocks = [pairs.pattern(j) for j in range(4)]
-    count, flip, coef = [], [], []
-    for code in range(8):
-        e, blk = blocks[code & 1 | code >> 1 & 2]
+    index = np.arange(16)
+    code, second = index & 7, index >= 8
+    j = code & 1 | code >> 1 & 2
+    state = np.arange(256)[:, None] >> 2 * j & 3
+    inside = state != 0
+    own_m = np.where(code & 2, state == 2, state == 1)  # the lead is the lower level
+    vector = np.where(inside, 2 * j + (own_m == second), 8)
+    valid = np.stack((~(second & inside), ~second & inside), axis=-1)
+    lead = inside & ~second
+    flip = np.stack((lead & ~own_m, lead & own_m), axis=-1).astype(np.uint8)
+    return vector, valid, flip, ~inside
+
+
+_SLOT_TABLES = _slot_tables()
+_ZERO_ROWS = np.arange(8, 16)
+
+
+def _code_table(pairs: PulsePairs):
+    """The packed kernel's tables for a pulse with one window spin k.  A
+    row's code 0-7 holds bits k-1, k and k+1 of its state (those
+    ``PulsePairs.pair`` reads); its table index is that code, or 8 + its
+    lead's code when it is the second stored member of a pair (bit k set)
+    or the zero row of a lone lead.  Returns ``coef``, shape (8, 16): the
+    real and imaginary parts of alpha and beta for the m and p slots, in
+    F = (x alpha) beta, x being the row's amplitude, and the slot tables of
+    ``_slot_tables`` (``outside`` None when every pattern is in the window).
+
+    A lead's out is its own F plus its partner's, the second member's F
+    with the lead's gamma and delta.  For each pattern, vector A is
+    (diag, ph_m, cross, ph_x) and B is (cross, ph_x*, diag*, ph_m*), by
+    slot (alpha, beta): a lead that is the lower level multiplies by A and
+    its partner by B, and the other way round.
+    """
+    vectors, shape, outside = [], 0, False
+    for j in range(4):
+        e, blk = pairs.pattern(j)
         if blk is None:
-            count.append(1)
-            flip.append(0)
-            coef.extend((0j,) * 8)
+            vectors += (0j,) * 8
+            outside = True
             continue
         diag, cross, ph_m, ph_xc, diag_c, ph_mc, ph_x = blk
-        own_m = (-e if code & 2 else e) > 0.0  # the stored state is the lower level
-        count.append(2)
-        flip.append(own_m)
-        coef.extend((diag, ph_m, cross, ph_xc, cross, ph_x, diag_c, ph_mc) if own_m
-                    else (cross, ph_xc, diag, ph_m, diag_c, ph_mc, cross, ph_x))
-    coef = np.fromiter(coef, complex, 64).view(float).reshape(8, 2, 8)
-    return np.array(count), np.array(flip, np.intp), coef.transpose(2, 1, 0).copy()
+        vectors += (diag, ph_m, cross, ph_x, cross, ph_xc, diag_c, ph_mc)
+        shape |= (1 if e > 0.0 else 2 if e < 0.0 else 3) << 2 * j
+    vectors += (0j,) * 4
+    vector, valid, flip, out = _SLOT_TABLES
+    coef = np.fromiter(vectors, complex, 36).view(float).reshape(9, 8).T.take(vector[shape], axis=1)
+    return coef, valid[shape], flip[shape], out[shape] if outside else None
 
 
 def _neighbourhood_codes(rows: np.ndarray, k: int) -> np.ndarray:
@@ -286,21 +333,30 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
     """The per-state loop's pulse on packed rows, for the one window spin ``k``,
     then its prune: (kept amplitudes, ``leaked`` plus the dropped probability).
 
-    ``table`` is ``_code_table`` of the pulse.  Rows are built for the kept
-    slots only; their ``lineage`` codes each one's row in ``amps`` and whether
-    bit k was flipped (``chain.descend``).
+    ``table`` is ``_code_table`` of the pulse.  The S sorted rows and 8 zero
+    rows, indexed 8-15, each run F = (x alpha) beta for the m and p slots; a
+    second member's index is 8 + its lead's code.  Each of the S rows then
+    holds its F plus its partner's (a lone lead's partner is its code's zero
+    row), a row out of the window holds x in slot m, and the valid slots, in
+    row-major order, are the emission.  Rows are built for the kept slots
+    only; their ``lineage`` codes each one's row in ``amps`` and whether bit
+    k was flipped (``chain.descend``).
     """
-    count_of, flip_of, coef = table
-    rows, words = amps.rows, amps.rows.shape[1]
+    coef, valid_of, flip_of, outside = table
+    rows, words, n = amps.rows, amps.rows.shape[1], len(amps.rows)
     order = np.argsort(rows.view(f"V{8 * words}").ravel(), kind="stable")
-    keys, c = rows.take(order, axis=0), amps.c.take(order)
-    code = _neighbourhood_codes(keys, k).view(np.intp)  # 0-7: a free view
+    keys = rows.take(order, axis=0)
+    # the sorted amplitudes and codes, then 8 zero rows, one per lead code
+    x = np.concatenate((amps.c.take(order), np.zeros(8)))
+    code = np.concatenate((_neighbourhood_codes(keys, k).view(np.intp), _ZERO_ROWS))
     # pair each state s with bit k clear with s + 2^k, if it is stored: with
     # bit k cleared their rows are equal, and a stable sort puts them side
-    # by side, s first
-    keys[:, words - 1 - k // 64] &= ~np.uint64(1 << k % 64)
+    # by side, s first.  Only == is asked of the words from here, so they
+    # are read in native order, bit k's mask byte-swapped to match
+    native = keys.view(np.uint64)
+    native[:, words - 1 - k // 64] &= np.array(~np.uint64(1 << k % 64), ">u8").view(np.uint64)
     by_pair = np.argsort(keys.view(f"V{8 * words}").ravel(), kind="stable")
-    keys = keys.take(by_pair, axis=0).view(np.uint64)  # native order: only == is asked
+    keys = native.take(by_pair, axis=0)
     # one != pass; each row's W flags, read as whole words, are 0 when it
     # equals the next row
     differs = (keys[1:] != keys[:-1]).view(f"u{min(8, words & -words)}")
@@ -308,43 +364,37 @@ def _packed_pulse(amps: PackedAmps, k: int, table: tuple, cutoff: float, leaked:
         differs[:, 0] |= differs[:, w]
     t = np.flatnonzero(differs[:, 0] == 0)
     lower, pos = by_pair.take(t), by_pair.take(t + 1)
+    # a lead's partner term is its partner's F, or its code's zero row's
+    partner = code[:n] + n
+    partner[lower] = pos
+    code[pos] ^= 10  # 8 + the lead's code: the lead's gamma and delta
 
-    # each out-of-window state is written alone, each pair by its first stored
-    # member: the second one's count halves, to 0 in the window and 1 outside
-    # it (both members share bits k-1 and k+1, so both are in it or neither)
-    count = count_of.take(code)
-    count[pos] &= 1
-    # codes reach 2 S - 1: uint16 up to 32,768 input rows, uint32 above
-    lineage = np.repeat(order.astype(np.min_scalar_type(2 * len(c) - 1)), count)
-    lineage <<= 1
-    out = np.repeat(c, count)
-    lead = np.flatnonzero(count == 2)
-    slot = np.cumsum(count).take(lead) - 2  # the m slot; the p slot follows
-    code = code.take(lead)
-    lineage[slot + flip_of.take(code)] += 1
-    other = np.zeros(len(c), complex)
-    other[lower] = c.take(pos)
-    x, y = c.take(lead), other.take(lead)
-    coef = coef.take(code, axis=2)
-    first = _mul(_mul((x.real, x.imag), coef[0:2]), coef[2:4])
-    second = _mul(_mul((y.real, y.imag), coef[4:6]), coef[6:8])
-    pair = np.empty((2, len(lead)), complex)
-    np.add(first[0], second[0], out=pair.real)
-    np.add(first[1], second[1], out=pair.imag)
-    out[slot], out[slot + 1] = pair
+    ar, ai, br, bi = coef.take(code, axis=1).reshape(2, 4, -1).transpose(1, 0, 2)
+    fr, fi = _mul(_mul((x.real, x.imag), (ar, ai)), (br, bi))
+    out = np.empty((n, 2), complex)  # row-major: each row's m and p slots
+    np.add(fr[:, :n], fr.take(partner, axis=1), out=out.real.T)
+    np.add(fi[:, :n], fi.take(partner, axis=1), out=out.imag.T)
+    code = code[:n]
+    if outside is not None:
+        np.copyto(out[:, 0], x[:n], where=outside.take(code))
 
     p = out.real * out.real + out.imag * out.imag
     drop = p < cutoff
+    valid = valid_of.take(code, axis=0)
+    keep = np.flatnonzero(valid > drop)  # valid and not dropped
+    drop &= valid
     if drop.any():
         # summed in emission order, one addition at a time, from ``leaked``,
         # as ``prune`` does
         dropped = p[drop]
         dropped[0] += leaked
         leaked = float(np.add.accumulate(dropped)[-1])
-        keep = np.flatnonzero(~drop)
-        lineage, out = lineage.take(keep), out.take(keep)
+    # codes reach 2 S - 1: uint16 up to 32,768 input rows, uint32 above
+    lineage = order.astype(np.min_scalar_type(2 * n - 1)).take(keep >> 1)
+    lineage <<= 1
+    lineage |= flip_of.take(code, axis=0).ravel().take(keep)
     source = rows if amps.lineage is None else None  # the replay rebuilds a kernel output's rows
-    return PackedAmps(descend(rows, k, lineage), out, (k, lineage, source)), leaked
+    return PackedAmps(descend(rows, k, lineage), out.ravel().take(keep), (k, lineage, source)), leaked
 
 
 def apply_pulse(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -563,8 +564,9 @@ def mixed_draw(n, count):
     return cfg, spins, initial, pulses
 
 
-# stored states at the start of a mixed run: below PACKED_MIN_STATES, and above
-STARTS = [95, 300]
+# stored states at the start of a mixed run: below PACKED_MIN_STATES, just
+# above it, and far above it
+STARTS = [60, 95, 300]
 
 
 class TestPackedRuns:
@@ -868,3 +870,47 @@ class TestPackedRows:
             assert repr(packed.get(state)) == repr(amps.get(state))
         assert packed.get(7, 0j) == 0j
         assert packed._dict is None  # neither built the int-keyed dict
+
+    @pytest.mark.parametrize("n", [1, 64, 80, 200])
+    def test_pickle_round_trip(self, n):
+        # numpy unpickles a ">u8" array as native uint64 of equal values: a
+        # packed state, and a kernel output with its input rows, come back
+        # with big-endian rows, reading the same states
+        cfg = sp.ChainConfig(n_qubits=n, larmor_spacing=100.0)
+        k, rng = n // 2, random.Random(n)
+        states = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(40)}
+        states |= {s ^ 1 << k for s in sorted(states)[::3]}
+        amps = {s: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for s in states}
+        pulse = sp.Pulse(frequency=cfg.omega(k) + 2.0, rabi=0.3, duration=5.0)
+        after = sp.Pulse(frequency=cfg.omega(k), rabi=0.2, duration=7.0)
+        output = packed_apply_pulse(SparseState(amps, time=1.0), pulse, cfg, 1e-3).amps
+        assert output.lineage[2] is not None  # the input was a dict
+        for original in (PackedAmps.pack(amps, n), output):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy.rows.tobytes() == original.rows.tobytes()
+            assert list(copy.as_dict().items()) == list(original.as_dict().items())
+            assert [copy.get(s) for s in original] == list(original.values())
+            if original.lineage is not None:
+                (k0, codes0, source0), (k1, codes1, source1) = original.lineage, copy.lineage
+                assert (k1, codes1.dtype, codes1.tobytes()) == (k0, codes0.dtype, codes0.tobytes())
+                assert source1.tobytes() == source0.tobytes()
+            outs = [packed_apply_pulse(SparseState(a, 0.125, 6.0), after, cfg, 1e-3)
+                    for a in (original, copy)]
+            before, after_copy = (repr((list(o.amps.items()), o.leaked, o.time)) for o in outs)
+            assert after_copy == before
+            assert outs[1].amps.lineage[1].tobytes() == outs[0].amps.lineage[1].tobytes()
+
+    def test_get_agrees_with_the_mapping(self):
+        # a key equal to a stored state's int finds it, as in a dict and as
+        # [] and ``in`` do; other keys find nothing
+        amps = {0: 0.25j, 1: -0.5 + 0j, 5: 0.5 + 0j, 1 << 64: -1j}
+        packed = PackedAmps.pack(amps, 130)
+        mapping = dict(packed)
+        keys = [np.int64(5), np.uint64(5), np.int64(1 << 62), np.uint64(1 << 63), np.int64(-5),
+                True, False, np.True_, 5.0, 5.5, -0.0, 2.0 ** 64, np.float64(5.0), math.nan]
+        for key in keys:
+            assert repr(packed.get(key)) == repr(mapping.get(key)), key
+            assert (key in packed) == (key in mapping), key
+            if key in mapping:
+                assert packed[key] == packed.get(key), key
+        assert packed.get(np.int64(7), 1j) == 1j

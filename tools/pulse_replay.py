@@ -8,9 +8,10 @@ against one or two checkouts, checking each output and timing each call.
 ``spinpulse`` imported from this checkout's ``src/`` and pickles, for every
 ``sparse_engine.apply_pulse`` call: the input state (a dict's items, or a
 ``PackedAmps``'s rows, amplitudes and lineage), the pulse, the chain and
-the cutoff, plus a digest of the output: its amplitudes' ``repr`` in
-insertion order, ``leaked``, the time, and the lineage's spin, code dtype
-and bytes.  ``run_protocol`` calls split the calls into runs.
+the cutoff, plus two digests of the output: of its amplitudes' ``repr`` in
+insertion order, ``leaked`` and the time; and of the lineage's spin, code
+dtype and bytes, which only the packed kernel's output has.
+``run_protocol`` calls split the calls into runs.
 
 ``replay`` starts one worker process per checkout, each importing
 ``spinpulse`` from that checkout's ``src/``.  A checkout written
@@ -18,10 +19,13 @@ and bytes.  ``run_protocol`` calls split the calls into runs.
 (``PACKED_MIN_STATES`` set to 1 or to infinity), so ``. .:loop`` compares
 the two paths on the same inputs.  Each round replays the calls in order,
 each call once in each worker, the worker that goes first alternating from
-call to call.  It prints, per
-checkout, the calls whose output differs from the recording and the sum of
-each call's shortest time, by the path the call took, and with ``--bin`` by
-input state count too.  Exits 1 if any output differs.
+call to call.  A call's output differs from the recording when its
+amplitudes, their order, ``leaked`` or the time do, or when it took the
+path it took when recorded and its lineage differs: a forced path gives
+no lineage, or one the recording lacks.  It prints, per checkout, the
+calls whose output differs and the sum of each call's shortest time, by
+the path the call took, and with ``--bin`` by input state count too.
+Exits 1 if any output differs.
 """
 
 from __future__ import annotations
@@ -43,16 +47,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def digest(state) -> str:
-    """SHA-256 of an ``apply_pulse`` output: amplitudes in order, leaked,
-    time, and the lineage's spin, code dtype and bytes (input rows too)."""
-    h = hashlib.sha256(repr((list(state.amps.items()), state.leaked, state.time)).encode())
+def digest(state) -> tuple[str, str | None]:
+    """SHA-256s of an ``apply_pulse`` output: of its amplitudes in order,
+    leaked and time; and of its lineage's spin, code dtype and bytes (input
+    rows too), None for a dict."""
+    amps = repr((list(state.amps.items()), state.leaked, state.time)).encode()
     lineage = getattr(state.amps, "lineage", None)
-    if lineage is not None:
-        k, codes, source = lineage
-        h.update(f"{k} {codes.dtype.str}".encode() + codes.tobytes())
-        h.update(b"-" if source is None else source.tobytes())
-    return h.hexdigest()
+    if lineage is None:
+        return hashlib.sha256(amps).hexdigest(), None
+    k, codes, source = lineage
+    h = hashlib.sha256(f"{k} {codes.dtype.str}".encode() + codes.tobytes())
+    h.update(b"-" if source is None else source.tobytes())
+    return hashlib.sha256(amps).hexdigest(), h.hexdigest()
 
 
 def rows_of(data: bytes, width: int) -> np.ndarray:
@@ -72,7 +78,7 @@ def record(workload: str, seed: int | None, path: Path) -> int:
 
     def recorded_apply(state, pulse, cfg, cutoff=0.0):
         amps = state.amps
-        if type(amps) is sparse_engine.PackedAmps:  # rows as bytes: pickle drops ">u8"
+        if type(amps) is sparse_engine.PackedAmps:  # rows as bytes, which any checkout reads
             lineage = amps.lineage and amps.lineage[:2] + (
                 None if amps.lineage[2] is None else amps.lineage[2].tobytes(),)
             held = ("packed", amps.rows.tobytes(), amps.rows.shape[1], amps.c, lineage)
@@ -128,9 +134,11 @@ def worker(checkout: str, path: str) -> None:
         start = time.perf_counter()
         out = sparse_engine.apply_pulse(state, *args)
         elapsed = time.perf_counter() - start
-        packed = type(out.amps) is sparse_engine.PackedAmps
-        print(json.dumps({"s": elapsed, "ok": digest(out) == call["digest"],
-                          "path": "packed" if packed else "loop"}), flush=True)
+        (amps_digest, lineage_digest), (recorded, recorded_lineage) = digest(out), call["digest"]
+        same_path = (lineage_digest is None) == (recorded_lineage is None)
+        ok = amps_digest == recorded and (lineage_digest == recorded_lineage or not same_path)
+        print(json.dumps({"s": elapsed, "ok": ok, "path": "loop" if lineage_digest is None
+                          else "packed"}), flush=True)
 
 
 def replay(path: Path, checkouts: list[str], rounds: int, width: int | None) -> int:
