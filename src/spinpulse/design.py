@@ -88,9 +88,7 @@ def build_cn_protocol(
 
     # pi/2-pulse, resonant on the ground -> control-flipped transition.
     nu = transition_frequency(ground, n - 1, cfg)
-    pulses.append(
-        Pulse(frequency=nu, rabi=rabi, duration=0.5 * math.pi / rabi, label=HALF_PI_PULSE)
-    )
+    pulses.append(Pulse(frequency=nu, rabi=rabi, duration=0.5 * math.pi / rabi))
     path.append(control_bit)
     detunings.append(0.0)
 
@@ -100,14 +98,7 @@ def build_cn_protocol(
         if idx == 3 and equal_epsilon:
             omega_n = 2.0 * rabi
         nu = transition_frequency(state, spin, cfg)
-        pulses.append(
-            Pulse(
-                frequency=nu,
-                rabi=omega_n,
-                duration=math.pi / omega_n,
-                label=f"{PI_PULSE}-{idx}",
-            )
-        )
+        pulses.append(Pulse(frequency=nu, rabi=omega_n, duration=math.pi / omega_n))
         state ^= 1 << spin
         path.append(state)
         detunings.append(abs(flip_energy(ground, spin, cfg)) - nu)
@@ -168,22 +159,24 @@ def perturb_protocol(
 ) -> Protocol:
     """Add seeded uniform jitter to the drive strength of a pi-pulse range.
 
-    ``pulse_range`` is inclusive and counts pi-pulses from 1, skipping the
-    opening pi/2-pulse.  Durations are kept fixed, so jittered pulses are no
-    longer exact pi-pulses.  Raises if the range is empty or runs past the
-    protocol's pi-pulses, or if a jittered strength would be <= 0.
+    ``pulse_range`` is inclusive and counts pi-pulses from 1: the pulses
+    whose area rabi * duration is pi, so the CN protocol's opening
+    pi/2-pulse is skipped.  Durations are kept fixed, so jittered pulses are
+    no longer exact pi-pulses.  Raises if the range is empty or runs past
+    the protocol's pi-pulses, or if a jittered strength would be <= 0.
     """
     lo, hi = pulse_range
     if amplitude_jitter < 0:
         raise ValueError("amplitude_jitter must be >= 0")
-    count = sum(p.label.startswith(PI_PULSE + "-") for p in protocol.pulses)
+    pi_pulses = [math.isclose(p.area, math.pi) for p in protocol.pulses]
+    count = sum(pi_pulses)
     if not 1 <= lo <= hi <= count:
         raise ValueError(f"pulse range ({lo}, {hi}) must lie within pi-pulses 1 to {count}")
     rng = random.Random(seed)
     new_pulses: list[Pulse] = []
     ordinal = 0
-    for pulse in protocol.pulses:
-        if pulse.label.startswith(PI_PULSE + "-"):
+    for pulse, is_pi in zip(protocol.pulses, pi_pulses):
+        if is_pi:
             ordinal += 1
             if lo <= ordinal <= hi and amplitude_jitter > 0:
                 eta = rng.uniform(-amplitude_jitter, amplitude_jitter)

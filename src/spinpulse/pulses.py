@@ -23,7 +23,6 @@ class Pulse:
     frequency: float
     rabi: float
     duration: float
-    label: str = ""
 
     def __post_init__(self):
         for name in ("frequency", "rabi", "duration"):
@@ -74,12 +73,7 @@ class Protocol:
             "version": PROTOCOL_FORMAT_VERSION,
             "gate": self.gate,
             "pulses": [
-                {
-                    "frequency": p.frequency,
-                    "rabi": p.rabi,
-                    "duration": p.duration,
-                    "label": p.label,
-                }
+                {"frequency": p.frequency, "rabi": p.rabi, "duration": p.duration}
                 for p in self.pulses
             ],
             "path": [str(s) for s in self.path],
@@ -95,9 +89,10 @@ class Protocol:
 
     @classmethod
     def from_checked(cls, data: dict) -> "Protocol":
-        """The protocol of a document that ``schema.PROTOCOL`` has checked."""
+        """The protocol of a document that ``schema.PROTOCOL`` has checked;
+        a pulse's ``label`` and ``phase``, which older files carry, are ignored."""
         return cls(
-            pulses=tuple(Pulse(**{k: v for k, v in p.items() if k != "phase"})
+            pulses=tuple(Pulse(p["frequency"], p["rabi"], p["duration"])
                          for p in data["pulses"]),
             gate=data.get("gate", ""),
             path=tuple(map(int, data.get("path", ()))),

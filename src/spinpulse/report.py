@@ -31,7 +31,7 @@ from .chain import (
 from .design import spectator_phase_increment
 from .exceptions import ConfigError
 from .pulses import Protocol, Pulse
-from .schema import REPORT, REPORT_FORMAT_VERSION, check, read_json
+from .schema import REPORT, REPORT_FORMAT_VERSION, check, finite_number, read_json
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class RunReport:
         factor, generation = self.convention_factor, self.generation
         records = [
             UnwantedRecord(s, factor * (c.real * c.real + c.imag * c.imag),
-                           generation.get(s, -1), energy, flip_count(s))
+                           generation[s], energy, flip_count(s))
             for (s, c), energy in zip(kept, energies)
         ]
         records.sort(key=attrgetter("generation", "state"))
@@ -130,7 +130,7 @@ class RunReport:
         amps, generation = self.final_amps, self.generation
         return {
             "final_amps": (list, ([str(s), c.real, c.imag] for s, c in amps.items())),
-            "generation": (dict, ((str(s), generation[s]) for s in amps if s in generation)),
+            "generation": (dict, ((str(s), generation[s]) for s in amps)),
             "trace": (list, None if self.trace is None else map(_trace_row, self.trace)),
         }
 
@@ -156,17 +156,19 @@ class RunReport:
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
         """The report of a document as ``to_dict`` writes it; ConfigError
-        naming the field if a field is missing or malformed (``schema.REPORT``).
+        naming the field if a field is missing or malformed (``schema.REPORT``),
+        if ``final_amps`` lists a state twice or outside the chain, or if
+        ``generation`` does not list the states of ``final_amps`` as the same
+        strings, in the same order.
 
         The final states and their ledger, the bulk of a report, are read
-        once by ``_read_states``; the table walks them only when it declines.
+        once by ``_read_states``; the table walks them only when it declines,
+        and then names the malformed value.
         """
-        states = _read_states(data) if type(data) is dict else None
+        states = _read_states(data) if isinstance(data, dict) else None
         check(data if states is None else {**data, "final_amps": [], "generation": {}},
               REPORT, "report")
-        final_amps, generation = states or (
-            {int(s): complex(re, im) for s, re, im in data["final_amps"]},
-            {int(s): g for s, g in data["generation"].items()})
+        final_amps, generation = states
         if len(final_amps) < len(data["final_amps"]):
             raise ConfigError(f"report field final_amps lists {len(data['final_amps'])} rows "
                               f"but {len(final_amps)} distinct states")
@@ -174,14 +176,10 @@ class RunReport:
         if final_amps and max(final_amps) >> chain.n_qubits:
             raise ConfigError(f"report field final_amps holds state {max(final_amps)}, "
                               f"which does not fit in {chain.n_qubits} qubits")
-        if len(generation) < len(data["generation"]):
-            raise ConfigError(f"report field generation lists {len(data['generation'])} "
-                              f"entries but {len(generation)} distinct states")
-        # a format-1 ledger may lack final states
-        if data["version"] > 1 and not generation.keys() >= final_amps.keys():
-            missing = min(final_amps.keys() - generation.keys())
-            raise ConfigError(f"report field generation lacks final state {missing}")
-        protocol, trace = data.get("protocol"), data.get("trace")
+        if generation is None:
+            raise ConfigError("report field generation must list the states of final_amps, "
+                              "as the same strings in the same order")
+        protocol, trace = data["protocol"], data["trace"]
         return cls(
             engine=data["engine"],
             chain=chain,
@@ -190,15 +188,14 @@ class RunReport:
             time=data["time"],
             generation=generation,
             doubled=data["doubled"],
-            prune_cutoff=data.get("prune_cutoff"),
-            seed=data.get("seed"),
+            prune_cutoff=data["prune_cutoff"],
+            seed=data["seed"],
             protocol=None if protocol is None else Protocol.from_checked(protocol),
             trace=None if trace is None else [
                 TraceEntry(i, t, norm, leaked, n, None if ref is None else complex(*ref))
                 for i, t, norm, leaked, n, ref in trace
             ],
-            # Reports written before the hash existed load with an empty one.
-            config_hash=data.get("config_hash") or "",
+            config_hash=data["config_hash"],
         )
 
     def save(self, path: str | Path) -> None:
@@ -256,29 +253,28 @@ def _trace_row(e: TraceEntry) -> list:
             None if ref is None else [ref.real, ref.imag]]
 
 
-def _read_states(data: dict) -> tuple[dict[int, complex], dict[int, int]] | None:
-    """``final_amps`` and ``generation`` as dicts, read with whole-column tests
-    when they hold what the writers store: decimal-string states, finite
-    numbers and ints >= 0; None otherwise, for the table check to judge."""
+def _read_states(data: dict) -> tuple[dict[int, complex], dict[int, int] | None] | None:
+    """``final_amps`` and ``generation`` as dicts, read with whole-column
+    tests; None when a value fails its ``schema.REPORT`` test (decimal-string
+    states, finite numbers, ints >= 0), for the table check to name.  The
+    ledger is None unless its keys are the states of ``final_amps`` as the
+    same strings in the same order, as ``RunReport.to_dict`` writes them."""
     rows, ledger = data.get("final_amps"), data.get("generation")
-    if type(rows) is not list or type(ledger) is not dict or (
+    if not isinstance(rows, list) or not isinstance(ledger, dict) or (
             set(map(type, rows)) - {list} or set(map(len, rows)) - {3}):
         return None
     states, re, im = zip(*rows) if rows else ((), (), ())
     texts, generations = states + tuple(ledger), tuple(ledger.values())
-    if (set(map(type, texts)) - {str} or set(map(type, re + im)) - {float, int}
-            or set(map(type, generations)) - {int} or not all(texts)):
+    if set(map(type, texts)) - {str} or set(map(type, generations)) - {int} or not all(texts):
         return None
     digits = "".join(texts) or "0"
-    try:
-        finite = math.isfinite(math.fsum(re + im))
-    except (OverflowError, ValueError):  # parts beyond the float range, or inf - inf
-        return None
-    if not (finite and digits.isdigit() and digits.isascii()) or min(generations, default=0) < 0:
+    # each part by the table's own test, so that finite parts whose sum
+    # overflows (1e308 + 1e308) are not declined while the table accepts them
+    if not (digits.isdigit() and digits.isascii() and all(map(finite_number, re + im))) \
+            or min(generations, default=0) < 0:
         return None
     amps = dict(zip(map(int, states), map(complex, re, im)))
-    # the writers key the ledger by the final states, in their order
-    return amps, dict(zip(amps if texts[len(states):] == states else map(int, ledger), generations))
+    return amps, dict(zip(amps, generations)) if texts[len(states):] == states else None
 
 
 # rows of ``records_csv`` formatted and written at a time

@@ -103,20 +103,22 @@ def built_by(cls: type) -> Leaf:
                 lambda v: isinstance(v, dict) and cls(**v) is not None)
 
 
-def _is_state(v) -> bool:
-    if v.__class__ is str:  # as the writers store a state
-        return v.isdigit() and v.isascii()
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+def _is_decimal(v) -> bool:
+    """Whether ``v`` is a state as the writers store one: its decimal string."""
+    return v.__class__ is str and v.isdigit() and v.isascii()
 
 
 BOOL = Leaf("true or false", lambda v: v is True or v is False)
 INT = Leaf("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 NUMBER = Leaf("a finite number", finite_number)
 STRING = Leaf("a string", lambda v: isinstance(v, str))
-STATE = Leaf("a basis state (a non-negative integer or its decimal string)", _is_state)
 POSITIVE_NUMBER = bounded(NUMBER, "positive", lambda v: v > 0)
 POSITIVE_INT = bounded(INT, "positive", lambda v: v > 0)
 NON_NEGATIVE_INT = bounded(INT, "non-negative", lambda v: v >= 0)
+DECIMAL_STATE = Leaf("a basis state's decimal string", _is_decimal)
+# hand-written protocol files may give a state as an integer
+STATE = Leaf("a basis state (a non-negative integer or its decimal string)",
+             lambda v: _is_decimal(v) or NON_NEGATIVE_INT.test(v))
 
 
 class Field:
@@ -259,8 +261,9 @@ PULSE = Obj({
     "frequency": NUMBER,
     "rabi": POSITIVE_NUMBER,
     "duration": POSITIVE_NUMBER,
+    # Older files carry each pulse's label, which no engine reads, and its
+    # drive phase, which only reads back if zero; both are read and ignored.
     "label": optional(STRING),
-    # Older files carry each pulse's drive phase, which only reads back if zero.
     "phase": optional(bounded(NUMBER, "zero: no engine models a drive phase",
                               lambda v: v == 0)),
 })
@@ -274,20 +277,19 @@ PROTOCOL = Obj({
 })
 
 REPORT = Obj({
-    # Version 1 stored the whole first-crossing ledger and no config hash.
-    "version": one_of("report format version", 1, REPORT_FORMAT_VERSION),
+    "version": one_of("report format version", REPORT_FORMAT_VERSION),
     "engine": one_of("run engine", "perturbative", "exact", "classical"),
     "chain": built_by(ChainConfig),
-    "final_amps": ListOf(Row(STATE, NUMBER, NUMBER)),
+    "final_amps": ListOf(Row(DECIMAL_STATE, NUMBER, NUMBER)),
     "leaked": NUMBER,
     "time": NUMBER,
-    "generation": MapOf(STATE, NON_NEGATIVE_INT),
+    "generation": MapOf(DECIMAL_STATE, NON_NEGATIVE_INT),
     "doubled": BOOL,
-    "prune_cutoff": optional(NUMBER, nullable=True),
-    "seed": optional(INT, nullable=True),
-    "protocol": optional(PROTOCOL, nullable=True),
+    "prune_cutoff": Field(NUMBER, nullable=True),
+    "seed": Field(INT, nullable=True),
+    "protocol": Field(PROTOCOL, nullable=True),
     # Rows [pulse, time, norm, leaked, n_states, reference amplitude [re, im]].
-    "trace": optional(ListOf(Row(INT, NUMBER, NUMBER, NUMBER, INT,
-                                 Field(Row(NUMBER, NUMBER), nullable=True))), nullable=True),
-    "config_hash": optional(STRING, nullable=True),
+    "trace": Field(ListOf(Row(INT, NUMBER, NUMBER, NUMBER, INT,
+                              Field(Row(NUMBER, NUMBER), nullable=True))), nullable=True),
+    "config_hash": STRING,
 })

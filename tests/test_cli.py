@@ -792,9 +792,20 @@ def _one_trace_row(*row):
     return lambda doc: doc.update(trace=[list(row)])
 
 
+def _swap_first_two_ledger_entries(doc):
+    (a, ga), (b, gb), *rest = doc["generation"].items()
+    doc["generation"] = dict([(b, gb), (a, ga), *rest])
+
+
+def _ledger_entry_for_a_state_not_final(doc):
+    final = {s for s, _, _ in doc["final_amps"]}
+    doc["generation"][next(str(s) for s in range(64) if str(s) not in final)] = 1
+
+
 # case -> (edit of a simulate report.json, word in the message)
 MALFORMED_REPORTS = {
     "version-only": (_keep_only_the_version, "engine"),
+    "version-1": (lambda d: d.update(version=1), "version"),
     "n-qubits-a-string": (lambda d: d["chain"].update(n_qubits="x"), "n_qubits"),
     "state-not-a-number": (_first_state_not_a_number, "final_amps"),
     "protocol-frequency-not-a-number": (_drop_path_and_break_a_frequency, "frequency"),
@@ -817,6 +828,11 @@ MALFORMED_REPORTS = {
     "generation-lacks-a-final-state": (lambda d: d["generation"].pop("2"), "generation"),
     "generation-lists-a-state-twice": (
         lambda d: d["generation"].update({"02": d["generation"]["2"] + 7}), "generation"
+    ),
+    "generation-entries-swapped": (_swap_first_two_ledger_entries, "generation"),
+    "generation-lists-a-state-not-final": (_ledger_entry_for_a_state_not_final, "generation"),
+    "state-a-json-int": (
+        lambda d: d["final_amps"][1].__setitem__(0, int(d["final_amps"][1][0])), "final_amps"
     ),
     "amplitude-part-a-bool": (lambda d: d["final_amps"][1].__setitem__(1, True), "final_amps"),
     "amplitude-part-nan": (lambda d: d["final_amps"][1].__setitem__(2, math.nan), "final_amps"),

@@ -181,6 +181,24 @@ class TestPerturbProtocol:
             assert new.duration == orig.duration
             assert new.frequency == orig.frequency
 
+    def test_hand_built_protocol(self):
+        # pi-pulses are told by their area, whatever their frequencies
+        pulses = [sp.Pulse(frequency=f, rabi=r, duration=math.pi / r)
+                  for f, r in [(731.5, 0.3), (-12.0, 0.05), (0.0, 2.0), (1e4, 0.7)]]
+        proto = sp.Protocol(
+            pulses=(sp.Pulse(frequency=55.5, rabi=0.2, duration=0.5 * math.pi / 0.2), *pulses))
+        jittered = sp.perturb_protocol(proto, (2, 3), 0.01, seed=5)
+        assert jittered == sp.perturb_protocol(proto, (2, 3), 0.01, seed=5)
+        changed = [idx for idx, (orig, new) in enumerate(zip(proto.pulses, jittered.pulses))
+                   if new != orig]
+        assert changed == [2, 3]
+        for idx in changed:
+            orig, new = proto.pulses[idx], jittered.pulses[idx]
+            assert 0 < abs(new.rabi - orig.rabi) <= 0.01
+            assert (new.frequency, new.duration) == (orig.frequency, orig.duration)
+        with pytest.raises(ValueError, match="pi-pulses 1 to 4"):
+            sp.perturb_protocol(proto, (2, 5), 0.01, seed=5)
+
     def test_rejects_nonpositive_result(self):
         proto = sp.build_cn_protocol(self.CFG, rabi=0.01)
         with pytest.raises(ValueError):
@@ -208,6 +226,17 @@ class TestProtocolSerialization:
         cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=100.0)
         data = sp.build_cn_protocol(cfg, rabi=0.2).to_dict()
         assert all("phase" not in pulse for pulse in data["pulses"])
+
+    def test_labels_of_older_files_load_and_are_not_written(self):
+        with pytest.raises(TypeError):
+            sp.Pulse(frequency=100.0, rabi=0.2, duration=1.0, label="pi-1")
+        cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=100.0)
+        proto = sp.build_cn_protocol(cfg, rabi=0.2)
+        data = proto.to_dict()
+        assert all(set(pulse) == {"frequency", "rabi", "duration"} for pulse in data["pulses"])
+        for idx, pulse in enumerate(data["pulses"]):
+            pulse["label"] = f"pi-{idx}"
+        assert sp.Protocol.from_dict(data) == proto
 
     def test_zero_phase_of_older_files_loads(self):
         cfg = sp.ChainConfig(n_qubits=4, larmor_spacing=100.0)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spinpulse as sp
 from spinpulse import report as report_module
@@ -88,40 +88,6 @@ class TestRunReportSerialization:
         # the run keeps the ledger of its final states only, as it saves it
         assert list(sp.RunReport.load(path).generation.items()) == list(report.generation.items())
 
-    def test_version_1_document_with_full_ledger_loads(self, tmp_path):
-        # Format 1 stored the first crossing of every state ever above cutoff,
-        # and no config hash.
-        v1 = {
-            "version": 1,
-            "engine": "perturbative",
-            "chain": {"n_qubits": 3, "larmor_spacing": 100.0, "base_larmor": 1000.0,
-                      "coupling": 1.0, "cutoff": 1e-6},
-            "final_amps": [["0", 0.7, 0.1], ["5", 0.001, -0.002], ["6", 0.7, 0.0],
-                           ["3", 0.0, 0.003]],
-            "leaked": 1e-7,
-            "time": 12.5,
-            "generation": {"0": 0, "1": 1, "4": 1, "5": 2, "2": 2, "3": 3, "6": 3,
-                           "7": 4},
-            "doubled": True,
-            "prune_cutoff": 5e-7,
-            "seed": 0,
-            "protocol": {"version": 1, "gate": "cn", "pulses": [], "path": ["0", "6"],
-                         "detunings": []},
-            "trace": None,
-        }
-        old = sp.RunReport.from_dict(v1)
-        assert old.config_hash == ""
-        assert len(old.generation) == 8
-        path = tmp_path / "report.json"
-        old.save(path)
-        trimmed = sp.RunReport.load(path)
-        assert trimmed.generation == {0: 0, 5: 2, 6: 3, 3: 3}
-        assert old.protocol == trimmed.protocol == sp.Protocol(
-            pulses=(), gate="cn", path=(0, 6)
-        )
-        assert unwanted_table(trimmed) == unwanted_table(old)
-        assert [r.state for r in trimmed.unwanted_records()] == [5, 3]
-
     @pytest.mark.parametrize("read", [sp.RunReport.from_dict, sp.Protocol.from_dict])
     def test_document_that_is_not_an_object_rejected(self, read):
         with pytest.raises(sp.ConfigError, match="must be a JSON object"):
@@ -130,17 +96,16 @@ class TestRunReportSerialization:
     def test_unknown_version_rejected(self):
         report, _ = small_run()
         doc = report.to_dict()
-        doc["version"] = 3
-        with pytest.raises(sp.ConfigError):
-            sp.RunReport.from_dict(doc)
+        for version in (1, 3):
+            doc["version"] = version
+            with pytest.raises(sp.ConfigError, match="field version"):
+                sp.RunReport.from_dict(doc)
 
-    def test_integer_states_and_parts_load_as_written_ones(self):
-        # forms the writers do not use, which the table still accepts
+    def test_integer_parts_load_as_written_ones(self):
+        # a part the writers store as a float, given as a JSON int
         report, _ = small_run()
         doc = json.loads(json.dumps(report.to_dict()))
-        doc["final_amps"] = [[int(s), re, im] for s, re, im in doc["final_amps"]]
         doc["final_amps"][0][2] = 0
-        doc["generation"] = {int(s): g for s, g in doc["generation"].items()}
         loaded = sp.RunReport.from_dict(doc)
         first = next(iter(report.final_amps))
         assert loaded.final_amps == {**report.final_amps, first: report.final_amps[first].real}
@@ -229,13 +194,13 @@ EDGE_PARTS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, math.nan, math.inf
 
 @st.composite
 def bulk_reports(draw):
-    """Reports whose bulk sections hold any float, a ledger missing states,
-    and trace rows with and without a reference amplitude."""
+    """Reports whose bulk sections hold any float, a ledger entry for each
+    state, and trace rows with and without a reference amplitude."""
     n = draw(st.sampled_from([1, 6, 64, 200, 1000]))
     parts = st.one_of(st.sampled_from(EDGE_PARTS), st.floats())
     states = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12, unique=True))
     amps = {s: complex(draw(parts), draw(parts)) for s in states}
-    generation = {s: draw(st.integers(0, 10**6)) for s in states if draw(st.booleans())}
+    generation = {s: draw(st.integers(0, 10**6)) for s in states}
     trace = draw(st.none() | st.lists(st.builds(
         report_module.TraceEntry, st.integers(0, 10**4), parts, parts, parts,
         st.integers(0, 10**6), st.none() | st.builds(complex, parts, parts)), max_size=5))
@@ -265,20 +230,9 @@ class TestSaveIsJsonDump:
             report = make_report("perturbative", CFG, None, {}, 1.0, 0.0, {}, trace=trace)
             assert report.to_dict()["final_amps"] == [] and report.to_dict()["generation"] == {}
             assert saved(report, tmp_path) == dumped(report)
-        # states without a ledger entry, as a format-1 report may hold
-        report = make_report("perturbative", CFG, None, {1: 0.5j, 2: 0.5 + 0j}, 0.0, 1.0, {})
+        report = make_report("perturbative", CFG, None, {1: 0.5j, 2: 0.5 + 0j}, 0.0, 1.0,
+                             {1: 0, 2: 0})
         assert saved(report, tmp_path) == dumped(report)
-
-    def test_format_1_ledger_lacking_states(self, tmp_path):
-        report, _ = small_run(trace=True)
-        doc = json.loads(json.dumps(report.to_dict()))
-        doc["version"] = 1
-        del doc["config_hash"]
-        kept = list(doc["generation"].items())
-        doc["generation"] = dict(kept[::2] + [("63", 7)])  # and a state that is not final
-        old = sp.RunReport.from_dict(doc)
-        assert len(old.to_dict()["generation"]) == len(kept[::2]) < len(old.final_amps)
-        assert saved(old, tmp_path) == dumped(old)
 
     def test_edge_parts_and_reference_amplitudes(self, tmp_path):
         amps = {s: complex(re, im) for s, (re, im) in
@@ -297,7 +251,7 @@ class TestSaveIsJsonDump:
         # numpy scalars are written by float.__repr__ (json's rule), not as
         # np.float64(...); an int part as json writes one
         amps = {1: np.complex128(0.1 + 0.2j), 2: np.complex128(-0.0 + 5e-324j), 3: 1, 4: 0.5}
-        report = make_report("perturbative", CFG, None, amps, 0.0, 1.0, {1: 2, 3: 0})
+        report = make_report("perturbative", CFG, None, amps, 0.0, 1.0, {1: 2, 2: 1, 3: 0, 4: 5})
         text = saved(report, tmp_path)
         assert text == dumped(report) and b"np." not in text
 
@@ -318,6 +272,59 @@ class TestSaveIsJsonDump:
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(report_module, "SAVE_CHUNK_ENTRIES", chunk):
             assert saved(report, Path(tmp)) == dumped(report)
+
+
+@functools.cache
+def base_document(name: str) -> str:
+    """The JSON text of a saved report: a small run's, or one whose first
+    amplitude is 0.5+1e308j."""
+    if name == "run":
+        report, _ = small_run(trace=True)
+    else:
+        report = make_report("perturbative", CFG, None, {0: 0.5 + 1e308j, 5: 0.25j}, 0.0, 1.0,
+                             {0: 0, 5: 2})
+    return dumped(report).decode()
+
+
+def plant(doc: dict, where: str, row: int, value) -> None:
+    """Put ``value`` in a ``final_amps`` row (its state, re or im slot), or
+    in ``generation`` as the row-th key or value."""
+    if where == "key":
+        items = list(doc["generation"].items())
+        items[row] = (value, items[row][1])
+        doc["generation"] = dict(items)
+    elif where == "generation":
+        doc["generation"][list(doc["generation"])[row]] = value
+    else:
+        doc["final_amps"][row][["state", "re", "im"].index(where)] = value
+
+
+class TestOneBuilder:
+    """``from_dict`` builds every report one way, from ``_read_states``: a
+    value planted in a saved report either loads or is named by the table."""
+
+    @given(base=st.sampled_from(["run", "overflow"]),
+           where=st.sampled_from(["state", "re", "im", "key", "generation"]),
+           row=st.integers(0, 1),
+           value=st.one_of(st.sampled_from(EDGE_PARTS), st.integers(-3, 70),
+                           st.sampled_from([10**400, -(10**400), 2**64]), st.booleans(),
+                           st.text("0123456789-. a", max_size=3)))
+    @example(base="overflow", where="re", row=0, value=1e308)  # 1e308+1e308j
+    @settings(max_examples=150, deadline=None)
+    def test_planted_value_loads_or_is_a_config_error(self, base, where, row, value):
+        doc = json.loads(base_document(base))
+        plant(doc, where, row, value)
+        try:
+            report = sp.RunReport.from_dict(doc)
+        except sp.ConfigError:
+            return
+        again = sp.RunReport.from_dict(json.loads(dumped(report)))
+        assert again == report
+
+    def test_parts_whose_sum_overflows_load(self):
+        doc = json.loads(base_document("overflow"))
+        plant(doc, "re", 0, 1e308)
+        assert sp.RunReport.from_dict(doc).final_amps[0] == complex(1e308, 1e308)
 
 
 class TestUnwantedRecords:

@@ -81,8 +81,8 @@ def test_written_keys_are_the_declared_keys(name):
     doc = write()
     assert set(doc) == set(table.fields)
     for pulse in (doc["protocol"] if name == "report" else doc)["pulses"]:
-        # older files carry a drive phase, which is read but never written
-        assert set(pulse) == set(schema.PULSE.fields) - {"phase"}
+        # older files carry a label and a drive phase, read but never written
+        assert set(pulse) == set(schema.PULSE.fields) - {"label", "phase"}
 
 
 @pytest.mark.parametrize("document, path, leaf", LEAVES,

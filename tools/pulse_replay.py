@@ -11,10 +11,13 @@ against one or two checkouts, checking each output and timing each call.
 the cutoff, plus two digests of the output: of its amplitudes' ``repr`` in
 insertion order, ``leaked`` and the time; and of the lineage's spin, code
 dtype and bytes, which only the packed kernel's output has.
-``run_protocol`` calls split the calls into runs.
+``run_protocol`` calls split the calls into runs.  The file holds a header
+(the workload, the seed and each call's input state count), then one pickle
+per call, so that no process holds more than one call at a time.
 
-``replay`` starts one worker process per checkout, each importing
-``spinpulse`` from that checkout's ``src/``.  A checkout written
+``replay`` reads the header and starts one worker process per checkout,
+each importing ``spinpulse`` from that checkout's ``src/`` and reading the
+calls from the file as it is asked for them.  A checkout written
 ``PATH:packed`` or ``PATH:loop`` runs every call on that path
 (``PACKED_MIN_STATES`` set to 1 or to infinity), so ``. .:loop`` compares
 the two paths on the same inputs.  Each round replays the calls in order,
@@ -36,6 +39,7 @@ import hashlib
 import json
 import math
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -73,8 +77,9 @@ def record(workload: str, seed: int | None, path: Path) -> int:
 
     seed = workloads.DEFAULT_SEED if seed is None else seed
 
-    calls, runs = [], [0]
+    sizes, runs = [], [0]
     apply, run_protocol = sparse_engine.apply_pulse, sparse_engine.run_protocol
+    calls = tempfile.TemporaryFile(dir=path.parent)
 
     def recorded_apply(state, pulse, cfg, cutoff=0.0):
         amps = state.amps
@@ -85,11 +90,12 @@ def record(workload: str, seed: int | None, path: Path) -> int:
         else:
             held = ("dict", list(amps.items()))
         out = apply(state, pulse, cfg, cutoff)
-        calls.append({
+        pickle.dump({
             "run": runs[0], "amps": held, "leaked": state.leaked, "time": state.time,
             "pulse": (pulse.frequency, pulse.rabi, pulse.duration),
             "cfg": dataclasses.asdict(cfg), "cutoff": cutoff, "digest": digest(out),
-        })
+        }, calls)
+        sizes.append(len(amps))
         return out
 
     def counted_run(*args, **kwargs):
@@ -102,10 +108,31 @@ def record(workload: str, seed: int | None, path: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workloads.write_configs(workload, seed, Path(tmp) / "config")
         workloads.run(workload, Path(tmp) / "config", Path(tmp) / "out", [])
-    with open(path, "wb") as f:
-        pickle.dump({"workload": workload, "seed": seed, "calls": calls}, f)
-    print(f"{len(calls)} calls in {runs[0]} runs written to {path}")
+    with open(path, "wb") as f, calls:
+        pickle.dump({"workload": workload, "seed": seed, "sizes": sizes}, f)
+        calls.seek(0)
+        shutil.copyfileobj(calls, f)
+    print(f"{len(sizes)} calls in {runs[0]} runs written to {path}")
     return 0
+
+
+class Calls:
+    """The calls of a recording open as ``file``, each read when it is asked
+    for, so that one call is held at a time; asking for an earlier call than
+    the last reads on from the first call again."""
+
+    def __init__(self, file):
+        self.file = file
+        pickle.load(file)  # the header
+        self.start, self.next = file.tell(), 0
+
+    def __getitem__(self, i: int) -> dict:
+        if i < self.next:
+            self.file.seek(self.start)
+            self.next = 0
+        while self.next <= i:
+            call, self.next = pickle.load(self.file), self.next + 1
+        return call
 
 
 def worker(checkout: str, path: str) -> None:
@@ -119,39 +146,40 @@ def worker(checkout: str, path: str) -> None:
     if forced:
         sparse_engine.PACKED_MIN_STATES = {"packed": 1, "loop": math.inf}[forced]
     with open(path, "rb") as f:
-        calls = pickle.load(f)["calls"]
-    for line in sys.stdin:
-        call = calls[int(line)]
-        if call["amps"][0] == "dict":
-            amps = dict(call["amps"][1])
-        else:
-            _, data, width, c, lineage = call["amps"]
-            if lineage is not None and lineage[2] is not None:
-                lineage = lineage[:2] + (rows_of(lineage[2], width),)
-            amps = sparse_engine.PackedAmps(rows_of(data, width), c, lineage)
-        state = sparse_engine.SparseState(amps, call["leaked"], call["time"])
-        args = (Pulse(*call["pulse"]), ChainConfig(**call["cfg"]), call["cutoff"])
-        start = time.perf_counter()
-        out = sparse_engine.apply_pulse(state, *args)
-        elapsed = time.perf_counter() - start
-        (amps_digest, lineage_digest), (recorded, recorded_lineage) = digest(out), call["digest"]
-        same_path = (lineage_digest is None) == (recorded_lineage is None)
-        ok = amps_digest == recorded and (lineage_digest == recorded_lineage or not same_path)
-        print(json.dumps({"s": elapsed, "ok": ok, "path": "loop" if lineage_digest is None
-                          else "packed"}), flush=True)
+        calls = Calls(f)
+        for line in sys.stdin:
+            call = calls[int(line)]
+            if call["amps"][0] == "dict":
+                amps = dict(call["amps"][1])
+            else:
+                _, data, width, c, lineage = call["amps"]
+                if lineage is not None and lineage[2] is not None:
+                    lineage = lineage[:2] + (rows_of(lineage[2], width),)
+                amps = sparse_engine.PackedAmps(rows_of(data, width), c, lineage)
+            state = sparse_engine.SparseState(amps, call["leaked"], call["time"])
+            args = (Pulse(*call["pulse"]), ChainConfig(**call["cfg"]), call["cutoff"])
+            start = time.perf_counter()
+            out = sparse_engine.apply_pulse(state, *args)
+            elapsed = time.perf_counter() - start
+            amps_digest, lineage_digest = digest(out)
+            recorded, recorded_lineage = call["digest"]
+            same_path = (lineage_digest is None) == (recorded_lineage is None)
+            ok = amps_digest == recorded and (lineage_digest == recorded_lineage or not same_path)
+            print(json.dumps({"s": elapsed, "ok": ok, "path": "loop" if lineage_digest is None
+                              else "packed"}), flush=True)
 
 
 def replay(path: Path, checkouts: list[str], rounds: int, width: int | None) -> int:
     with open(path, "rb") as f:
-        calls = pickle.load(f)["calls"]
+        sizes = pickle.load(f)["sizes"]
     workers = [subprocess.Popen([sys.executable, __file__, "_worker", c, str(path)],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                for c in checkouts]
-    best = [[math.inf] * len(calls) for _ in workers]
-    paths = [[""] * len(calls) for _ in workers]
+    best = [[math.inf] * len(sizes) for _ in workers]
+    paths = [[""] * len(sizes) for _ in workers]
     bad = [set() for _ in workers]
     for r in range(rounds):
-        for i in range(len(calls)):
+        for i in range(len(sizes)):
             for w in sorted(range(len(workers)), key=lambda w: (w + i + r) % 2):
                 workers[w].stdin.write(f"{i}\n")
                 workers[w].stdin.flush()
@@ -164,14 +192,13 @@ def replay(path: Path, checkouts: list[str], rounds: int, width: int | None) -> 
         proc.stdin.close()
         proc.wait()
 
-    print(f"{len(calls)} calls, {rounds} rounds; times are sums of each call's shortest, ms")
+    print(f"{len(sizes)} calls, {rounds} rounds; times are sums of each call's shortest, ms")
     for w, c in enumerate(checkouts):
         verdict = "all equal to the recording" if not bad[w] else \
             f"{len(bad[w])} differ, first at call {min(bad[w])}"
         print(f"[{w}] {c}: {verdict}")
     groups = {}
-    for i, call in enumerate(calls):
-        size = len(call["amps"][1]) if call["amps"][0] == "dict" else len(call["amps"][3])
+    for i, size in enumerate(sizes):
         keys = [("path", "/".join(p[i] for p in paths))]
         if width:
             keys.append(("states", f"{size // width * width}-{size // width * width + width - 1}"))
